@@ -59,7 +59,7 @@ pub use dendrogram::Dendrogram;
 pub use error::CoreError;
 pub use face::Triangle;
 pub use pipeline::{ParTdbht, ParTdbhtConfig, ParTdbhtResult, StageTimings};
-pub use pmfg::{pmfg, pmfg_prescreened, pmfg_sequential, pmfg_with_config, Pmfg, PmfgConfig};
+pub use pmfg::{pmfg, pmfg_sequential, pmfg_with_config, Pmfg, PmfgConfig};
 pub use schedule::BatchSchedule;
-pub use tmfg::{tmfg, tmfg_prescreened, Tmfg, TmfgConfig};
+pub use tmfg::{tmfg, Tmfg, TmfgConfig};
 pub use tmfg::{BatchFreshness, RoundStats};

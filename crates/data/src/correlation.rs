@@ -139,9 +139,8 @@ impl ZProfile {
 }
 
 /// A [`ZProfile`] *is* a similarity source: correlations are computed on
-/// demand from the `n · L` profile, so filtered-graph construction (e.g.
-/// through the top-K prescreen) can run without ever materialising any
-/// `n²` matrix at all.
+/// demand from the `n · L` profile, so filtered-graph construction can run
+/// without ever materialising any `n²` matrix at all.
 impl SimilaritySource for ZProfile {
     #[inline]
     fn n(&self) -> usize {

@@ -5,7 +5,7 @@
 //!
 //! * [`par_filter`] — parallel filter preserving input order,
 //! * [`par_sort_by`] / [`par_sort_unstable_by`] — parallel comparison sorts,
-//! * [`par_max_by_key`] / [`par_max_index`] — parallel maximum,
+//! * [`par_max_index`] — parallel maximum,
 //! * [`AtomicF64`] with [`AtomicF64::write_min`], [`AtomicF64::write_max`],
 //!   and [`AtomicF64::write_add`] — the `WRITE_MIN` / `WRITE_MAX` /
 //!   `WRITE_ADD` priority concurrent writes,
@@ -25,10 +25,7 @@ pub mod par;
 
 pub use allow::{AllowEntry, AllowFile};
 pub use atomic::{AtomicF64, PriorityCell};
-pub use par::{
-    par_filter, par_max_by_key, par_max_index, par_min_index, par_sort_by, par_sort_unstable_by,
-    par_sum_f64,
-};
+pub use par::{par_filter, par_max_index, par_sort_by, par_sort_unstable_by};
 
 /// Re-export of rayon so downstream crates can build thread pools for the
 /// scalability experiments without an extra direct dependency.

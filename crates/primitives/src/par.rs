@@ -1,4 +1,4 @@
-//! Parallel filter, sort, maximum and reduction helpers (Table I).
+//! Parallel filter, sort and maximum helpers (Table I).
 //!
 //! Thin, well-tested wrappers over rayon that match the interfaces used in
 //! the paper's pseudocode. The rayon adapters are lazy and fused, so each
@@ -30,9 +30,8 @@ where
 
 /// Parallel stable sort by a comparison function. Above the threshold this
 /// delegates to rayon's `par_sort_by` (under the shim, a buffer-based
-/// parallel merge sort that itself uses std sorts below ~4k elements or on
-/// a single-threaded pool). Elements only need `T: Send`, as with real
-/// rayon.
+/// parallel merge sort that itself uses std sorts below ~4k elements).
+/// Elements only need `T: Send`, as with real rayon.
 pub fn par_sort_by<T, F>(items: &mut [T], cmp: F)
 where
     T: Send,
@@ -48,7 +47,7 @@ where
 /// Parallel unstable sort by a comparison function. Above the threshold
 /// this delegates to rayon's `par_sort_unstable_by` (under the shim, the
 /// same buffer-based merge sort with unstable leaf sorts and the same
-/// ~4k/single-thread fallback). Elements only need `T: Send`.
+/// ~4k fallback). Elements only need `T: Send`.
 pub fn par_sort_unstable_by<T, F>(items: &mut [T], cmp: F)
 where
     T: Send,
@@ -69,25 +68,6 @@ where
     T: Sync,
     F: Fn(&T) -> f64 + Send + Sync,
 {
-    extremal_index(items, key, |candidate, best| candidate > best)
-}
-
-/// Parallel minimum: index of the element with the minimal key, ties broken
-/// towards the smaller index. `NaN` keys never win.
-pub fn par_min_index<T, F>(items: &[T], key: F) -> Option<usize>
-where
-    T: Sync,
-    F: Fn(&T) -> f64 + Send + Sync,
-{
-    extremal_index(items, key, |candidate, best| candidate < best)
-}
-
-fn extremal_index<T, F, B>(items: &[T], key: F, better: B) -> Option<usize>
-where
-    T: Sync,
-    F: Fn(&T) -> f64 + Send + Sync,
-    B: Fn(f64, f64) -> bool + Send + Sync,
-{
     if items.is_empty() {
         return None;
     }
@@ -99,7 +79,7 @@ where
         match acc {
             None => Some((i, k)),
             Some((bi, bk)) => {
-                if better(k, bk) || (k == bk && i < bi) {
+                if k > bk || (k == bk && i < bi) {
                     Some((i, k))
                 } else {
                     Some((bi, bk))
@@ -110,7 +90,7 @@ where
     let combine = |a: Option<(usize, f64)>, b: Option<(usize, f64)>| match (a, b) {
         (None, x) | (x, None) => x,
         (Some((ai, ak)), Some((bi, bk))) => {
-            if better(bk, ak) || (bk == ak && bi < ai) {
+            if bk > ak || (bk == ak && bi < ai) {
                 Some((bi, bk))
             } else {
                 Some((ai, ak))
@@ -129,31 +109,6 @@ where
     best.map(|(i, _)| i)
 }
 
-/// Parallel maximum by an arbitrary totally-ordered key.
-pub fn par_max_by_key<T, K, F>(items: &[T], key: F) -> Option<&T>
-where
-    T: Sync,
-    K: Ord + Send,
-    F: Fn(&T) -> K + Send + Sync,
-{
-    if items.is_empty() {
-        None
-    } else if items.len() < SEQ_THRESHOLD {
-        items.iter().max_by_key(|x| key(x))
-    } else {
-        items.par_iter().max_by_key(|x| key(x))
-    }
-}
-
-/// Parallel sum of a slice of `f64` values.
-pub fn par_sum_f64(items: &[f64]) -> f64 {
-    if items.len() < SEQ_THRESHOLD {
-        items.iter().sum()
-    } else {
-        items.par_iter().sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -170,14 +125,12 @@ mod tests {
     fn max_index_ties_break_to_smallest_index() {
         let v = vec![1.0, 5.0, 5.0, 2.0];
         assert_eq!(par_max_index(&v, |x| *x), Some(1));
-        assert_eq!(par_min_index(&v, |x| *x), Some(0));
     }
 
     #[test]
     fn max_index_ignores_nan() {
         let v = vec![f64::NAN, 2.0, f64::NAN, 3.0];
         assert_eq!(par_max_index(&v, |x| *x), Some(3));
-        assert_eq!(par_min_index(&v, |x| *x), Some(1));
     }
 
     #[test]
@@ -195,18 +148,5 @@ mod tests {
         expected.sort();
         par_sort_by(&mut v, |a, b| a.cmp(b));
         assert_eq!(v, expected);
-    }
-
-    #[test]
-    fn sum_matches_sequential() {
-        let v: Vec<f64> = (0..100_000).map(|i| (i % 13) as f64).collect();
-        let seq: f64 = v.iter().sum();
-        assert!((par_sum_f64(&v) - seq).abs() < 1e-6);
-    }
-
-    #[test]
-    fn max_by_key_matches_std() {
-        let v: Vec<u64> = (0..30_000).map(|i| (i * 48271) % 65_537).collect();
-        assert_eq!(par_max_by_key(&v, |x| *x).copied(), v.iter().max().copied());
     }
 }

@@ -30,10 +30,9 @@
 //!   [`ParallelSliceMut::par_sort_by`] / `par_sort_unstable_by`: std run
 //!   sorts at the leaves, `join`-recursive merges that split the larger
 //!   run at its midpoint and binary-search the partner, moving elements
-//!   through one scratch buffer. Requires only `T: Send`, like real rayon
-//!   (the PR 2 index-merge sort needed `T: Sync` as well). Taken only
-//!   when both the pool and the hardware offer parallelism
-//!   (oversubscription cannot win at sorting).
+//!   through one scratch buffer. Requires only `T: Send`, like real rayon.
+//!   Taken from 4096 elements up at every pool size, so the output does
+//!   not depend on the worker count.
 //!
 //! Observable semantics match rayon for the operations the algorithms rely
 //! on: `collect` preserves input order, `fold`/`reduce` see one

@@ -1,22 +1,19 @@
 //! Buffer-based parallel merge sort for `par_sort_by` /
 //! `par_sort_unstable_by`.
 //!
-//! The PR 2 implementation merged sorted runs into *index* vectors
-//! (`order[k]` = slice position of the k-th smallest element) and applied
-//! the final permutation with cycle-following swaps. That kept `T` move-
-//! only but cost `O(n log runs)` extra index traffic and allocations, and
-//! — because the merge phase read the slice through shared references
-//! across workers — forced `T: Sync` on the public sorts, a documented
-//! divergence from real rayon. This version merges *elements* through a
-//! scratch buffer instead, and needs only `T: Send`:
+//! The sort merges *elements* through a scratch buffer and needs only
+//! `T: Send`, as with real rayon:
 //!
-//! 1. **Run decomposition** — the slice is cut into runs at boundaries
-//!    that are a function of the length **only** (never the worker
-//!    count), so the sort is byte-for-byte deterministic across
-//!    `RAYON_NUM_THREADS` and across steals.
+//! 1. **Run decomposition** — inputs shorter than [`MIN_PAR_SORT_LEN`]
+//!    go straight to the std sorts; longer ones are cut into runs at
+//!    boundaries that are a function of the length **only**. Neither
+//!    choice looks at the worker count or the hardware, so the sort is
+//!    byte-for-byte deterministic across `RAYON_NUM_THREADS`, across core
+//!    counts and across steals — even for an unstable sort with ties.
 //! 2. **Recursive sort via [`crate::join`]** — each node sorts its two
 //!    halves (leaves use the std sorts in place, stable or unstable to
-//!    match the caller) and then merges them.
+//!    match the caller) and then merges them. On a one-worker pool the
+//!    same tree runs inline.
 //! 3. **Buffer-based parallel merge** — a node merges its two sorted
 //!    halves into the matching range of one shared scratch buffer, then
 //!    memcpy-moves the range back. The merge splits the *larger* run at
@@ -42,11 +39,9 @@ use std::ptr;
 
 use pfg_audit::{DisjointWriteAudit, SendPtr};
 
-use crate::pool;
-
-/// Below this length (or on a single-threaded pool) the std sorts are used
-/// directly: they are highly optimised and the merge machinery only pays
-/// for itself once several workers sort runs concurrently.
+/// Below this length the std sorts are used directly: they are highly
+/// optimised, and the merge machinery only pays for itself on inputs long
+/// enough to split into several runs.
 pub(crate) const MIN_PAR_SORT_LEN: usize = 4096;
 
 /// Target elements per leaf run. Boundaries derived from this depend only
@@ -63,42 +58,15 @@ const MERGE_SEQ_LEN: usize = 4096;
 
 /// Sorts `v` by `cmp` on the current pool. `stable` selects the std sort
 /// used for the leaf runs; the merge keeps left-run elements first on
-/// ties, so stability is exactly that of the run sort.
-///
-/// The parallel path is taken only when the pool *and the hardware* offer
-/// parallelism: on a single-core machine an oversubscribed pool (e.g.
-/// `RAYON_NUM_THREADS=4` on 1-CPU CI) could only add merge overhead, so
-/// the std sorts are used regardless of the configured worker count.
+/// ties, so stability is exactly that of the run sort. Which path runs
+/// depends on `v.len()` alone (see the module docs).
 pub(crate) fn par_merge_sort_by<T, F>(v: &mut [T], cmp: &F, stable: bool)
 where
     T: Send,
     F: Fn(&T, &T) -> Ordering + Sync,
 {
-    if pool::effective_parallelism() <= 1
-        || pool::hardware_parallelism() <= 1
-        || v.len() < MIN_PAR_SORT_LEN
-    {
-        if stable {
-            v.sort_by(cmp);
-        } else {
-            v.sort_unstable_by(cmp);
-        }
-        return;
-    }
-    par_merge_sort_impl(v, cmp, stable);
-}
-
-/// The ungated parallel merge sort. Split out so tests (and only tests)
-/// can exercise the parallel machinery even on single-core CI machines,
-/// where [`par_merge_sort_by`] deliberately falls back to std sorts.
-pub(crate) fn par_merge_sort_impl<T, F>(v: &mut [T], cmp: &F, stable: bool)
-where
-    T: Send,
-    F: Fn(&T, &T) -> Ordering + Sync,
-{
     let n = v.len();
-    let runs = n.div_ceil(RUN_TARGET_LEN).clamp(1, MAX_RUNS);
-    if runs < 2 {
+    if n < MIN_PAR_SORT_LEN {
         if stable {
             v.sort_by(cmp);
         } else {
@@ -106,6 +74,8 @@ where
         }
         return;
     }
+    // At least two runs: `MIN_PAR_SORT_LEN` is twice `RUN_TARGET_LEN`.
+    let runs = n.div_ceil(RUN_TARGET_LEN).min(MAX_RUNS);
     let run_len = n.div_ceil(runs);
     // Scratch capacity only: length stays 0, so dropping `buf` deallocates
     // raw memory without dropping any `T` (merges move elements through it
@@ -320,11 +290,6 @@ mod tests {
     use super::*;
     use std::cell::Cell;
 
-    // The hardware gate in `par_merge_sort_by` means the public path may
-    // legitimately use std sorts on single-core CI machines, so the
-    // parallel machinery is exercised here through `par_merge_sort_impl`
-    // directly, under an installed (possibly oversubscribed) pool.
-
     fn with_pool<R>(threads: usize, op: impl FnOnce() -> R) -> R {
         crate::ThreadPoolBuilder::new()
             .num_threads(threads)
@@ -340,16 +305,14 @@ mod tests {
             .collect();
         let mut expected = v.clone();
         expected.sort_unstable();
-        with_pool(4, || par_merge_sort_impl(&mut v, &|a, b| a.cmp(b), false));
+        with_pool(4, || par_merge_sort_by(&mut v, &|a, b| a.cmp(b), false));
         assert_eq!(v, expected);
     }
 
     #[test]
     fn parallel_path_is_stable() {
         let mut v: Vec<(i64, usize)> = (0..30_000).map(|i| ((i as i64 * 31) % 10, i)).collect();
-        with_pool(4, || {
-            par_merge_sort_impl(&mut v, &|a, b| a.0.cmp(&b.0), true)
-        });
+        with_pool(4, || par_merge_sort_by(&mut v, &|a, b| a.0.cmp(&b.0), true));
         for pair in v.windows(2) {
             assert!(pair[0].0 <= pair[1].0);
             if pair[0].0 == pair[1].0 {
@@ -360,14 +323,14 @@ mod tests {
 
     #[test]
     fn parallel_path_sorts_send_only_elements() {
-        // `Cell<i64>` is `Send` but not `Sync` — the bound real rayon has
-        // and the PR 2 index-merge sort could not meet. The merge phase
-        // must stay correct with zero shared references to the elements.
+        // `Cell<i64>` is `Send` but not `Sync` — the bound real rayon has.
+        // The merge phase must stay correct with zero shared references to
+        // the elements.
         let mut v: Vec<Cell<i64>> = (0..40_000)
             .map(|i| Cell::new((i * 48_271) % 65_537))
             .collect();
         with_pool(4, || {
-            par_merge_sort_impl(&mut v, &|a, b| a.get().cmp(&b.get()), true)
+            par_merge_sort_by(&mut v, &|a, b| a.get().cmp(&b.get()), true)
         });
         let got: Vec<i64> = v.iter().map(Cell::get).collect();
         let mut expected: Vec<i64> = (0..40_000).map(|i| (i * 48_271) % 65_537).collect();
@@ -380,12 +343,12 @@ mod tests {
         let input: Vec<(i64, usize)> = (0..60_000).map(|i| ((i as i64 * 131) % 257, i)).collect();
         let mut reference = input.clone();
         with_pool(1, || {
-            par_merge_sort_impl(&mut reference, &|a, b| a.0.cmp(&b.0), false)
+            par_merge_sort_by(&mut reference, &|a, b| a.0.cmp(&b.0), false)
         });
         for threads in [2, 4, 8] {
             let mut v = input.clone();
             with_pool(threads, || {
-                par_merge_sort_impl(&mut v, &|a, b| a.0.cmp(&b.0), false)
+                par_merge_sort_by(&mut v, &|a, b| a.0.cmp(&b.0), false)
             });
             assert_eq!(v, reference, "threads = {threads}");
         }
@@ -396,7 +359,7 @@ mod tests {
         let mut v: Vec<i64> = (0..20_000).rev().collect();
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             with_pool(4, || {
-                par_merge_sort_impl(
+                par_merge_sort_by(
                     &mut v,
                     &|a: &i64, b: &i64| {
                         if *a == 13 && *b != 13 {
@@ -421,7 +384,7 @@ mod tests {
         // drops or leaks would abort/fail under the allocator checks in
         // debug runs, and the value check catches any lost element.
         let mut v: Vec<Box<i64>> = (0..10_000).map(|i| Box::new((i * 7_919) % 1_000)).collect();
-        with_pool(4, || par_merge_sort_impl(&mut v, &|a, b| a.cmp(b), true));
+        with_pool(4, || par_merge_sort_by(&mut v, &|a, b| a.cmp(b), true));
         let mut expected: Vec<i64> = (0..10_000).map(|i| (i * 7_919) % 1_000).collect();
         expected.sort();
         assert_eq!(v.iter().map(|b| **b).collect::<Vec<_>>(), expected);
@@ -430,13 +393,13 @@ mod tests {
     #[test]
     fn parallel_path_tiny_inputs() {
         let mut empty: Vec<i64> = Vec::new();
-        par_merge_sort_impl(&mut empty, &|a: &i64, b: &i64| a.cmp(b), true);
+        par_merge_sort_by(&mut empty, &|a: &i64, b: &i64| a.cmp(b), true);
         assert!(empty.is_empty());
         let mut one = vec![9i64];
-        par_merge_sort_impl(&mut one, &|a, b| a.cmp(b), false);
+        par_merge_sort_by(&mut one, &|a, b| a.cmp(b), false);
         assert_eq!(one, vec![9]);
         let mut few = vec![3i64, 1, 2];
-        with_pool(4, || par_merge_sort_impl(&mut few, &|a, b| a.cmp(b), true));
+        with_pool(4, || par_merge_sort_by(&mut few, &|a, b| a.cmp(b), true));
         assert_eq!(few, vec![1, 2, 3]);
     }
 

@@ -80,6 +80,19 @@ fn parallel_sort_is_schedule_invariant() {
                     .all(|(x, y)| x.to_bits() == y.to_bits())
         },
     );
+    // Tie-heavy unstable sort: 509 distinct keys over 50 000 elements, with
+    // the index as payload. Unstable sorts may order equal keys any way
+    // they like, so only a decomposition that ignores the pool size (and
+    // the core count) returns the same permutation at 1, 2 and 8 workers.
+    let keyed: Vec<(u64, usize)> = (0..50_000).map(|i| ((i as u64 * 131) % 509, i)).collect();
+    assert_schedule_invariant(
+        || {
+            let mut v = keyed.clone();
+            v.par_sort_unstable_by(|a, b| a.0.cmp(&b.0));
+            v
+        },
+        |a, b| a == b,
+    );
 }
 
 #[test]
