@@ -1,10 +1,10 @@
-//! Table I microbenchmarks: parallel filter, sort, maximum, and the
-//! priority concurrent writes — plus executor microbenchmarks of the
-//! work-stealing executor: fork–join round trips, deque contention, a
-//! skewed round, and the parallel sort against the std sort.
+//! Table I microbenchmark of the parallel sort, plus executor
+//! microbenchmarks of the work-stealing executor: fork–join round trips,
+//! deque contention, a skewed round, and the parallel sort against the
+//! std sort.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use pfg_primitives::{par_filter, par_max_index, par_sort_unstable_by, AtomicF64};
+use pfg_primitives::par_sort_unstable_by;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
@@ -162,35 +162,11 @@ fn bench_primitives(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(1);
     for &n in &[10_000usize, 100_000] {
         let data: Vec<f64> = (0..n).map(|_| rng.gen_range(0.0..1.0)).collect();
-        group.bench_with_input(BenchmarkId::new("filter", n), &data, |b, data| {
-            b.iter(|| black_box(par_filter(data, |x| *x > 0.5)))
-        });
         group.bench_with_input(BenchmarkId::new("sort", n), &data, |b, data| {
             b.iter(|| {
                 let mut v = data.clone();
                 par_sort_unstable_by(&mut v, f64::total_cmp);
                 black_box(v)
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("maximum", n), &data, |b, data| {
-            b.iter(|| black_box(par_max_index(data, |x| *x)))
-        });
-        group.bench_with_input(BenchmarkId::new("write_max", n), &data, |b, data| {
-            b.iter(|| {
-                let cell = AtomicF64::new(f64::NEG_INFINITY);
-                data.par_iter().for_each(|&x| {
-                    cell.write_max(x);
-                });
-                black_box(cell.load())
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("write_add", n), &data, |b, data| {
-            b.iter(|| {
-                let cell = AtomicF64::new(0.0);
-                data.par_iter().for_each(|&x| {
-                    cell.write_add(x);
-                });
-                black_box(cell.load())
             })
         });
     }

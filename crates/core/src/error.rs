@@ -23,11 +23,11 @@ pub enum CoreError {
     /// The PMFG batch schedule is invalid: the initial batch must be at
     /// least 1 and no larger than the maximum batch.
     InvalidBatch,
-    /// The similarity matrix contains a NaN entry. NaN gains are never
-    /// selected by the batch selector, so a vertex whose similarities are
-    /// all NaN could never be inserted; the input is rejected up front
-    /// instead.
-    NanSimilarity {
+    /// The similarity matrix contains a NaN or ±Inf entry. NaN gains are
+    /// never selected by the batch selector (and `+Inf + −Inf` sums to
+    /// NaN), so a vertex whose similarities are all NaN could never be
+    /// inserted; the input is rejected up front instead.
+    NonFiniteSimilarity {
         /// Row of the offending entry.
         row: usize,
         /// Column of the offending entry.
@@ -53,8 +53,8 @@ impl fmt::Display for CoreError {
                 f,
                 "PMFG batch schedule is invalid: need 1 <= initial_batch <= max_batch"
             ),
-            CoreError::NanSimilarity { row, col } => {
-                write!(f, "similarity matrix entry ({row}, {col}) is NaN")
+            CoreError::NonFiniteSimilarity { row, col } => {
+                write!(f, "similarity matrix entry ({row}, {col}) is not finite")
             }
         }
     }

@@ -243,7 +243,8 @@ impl<'a, S: SimilaritySource> CandidateStream<'a, S> {
 ///
 /// # Errors
 /// Returns [`CoreError::TooFewVertices`] if `s` has fewer than 4 rows and
-/// [`CoreError::NanSimilarity`] if any off-diagonal entry is NaN.
+/// [`CoreError::NonFiniteSimilarity`] if any off-diagonal entry is NaN or
+/// ±Inf.
 pub fn pmfg<S: SimilaritySource>(s: &S) -> Result<Pmfg, CoreError> {
     pmfg_with_config(s, PmfgConfig::default())
 }
@@ -252,7 +253,8 @@ pub fn pmfg<S: SimilaritySource>(s: &S) -> Result<Pmfg, CoreError> {
 ///
 /// # Errors
 /// Returns [`CoreError::TooFewVertices`] if `s` has fewer than 4 rows,
-/// [`CoreError::NanSimilarity`] if any off-diagonal entry is NaN, and
+/// [`CoreError::NonFiniteSimilarity`] if any off-diagonal entry is NaN or
+/// ±Inf, and
 /// [`CoreError::InvalidBatch`] if `config.initial_batch` is zero or
 /// exceeds `config.max_batch`.
 pub fn pmfg_with_config<S: SimilaritySource>(s: &S, config: PmfgConfig) -> Result<Pmfg, CoreError> {
@@ -266,15 +268,15 @@ fn validate<S: SimilaritySource>(s: &S, config: PmfgConfig) -> Result<(), CoreEr
         return Err(CoreError::TooFewVertices { got: n });
     }
     config.batch.validate()?;
-    reject_nan(s)
+    reject_non_finite(s)
 }
 
 /// [`emission_cmp`] would rank a NaN weight by its sign bit, above or
-/// below every real weight, so NaN is rejected up front, as
-/// [`crate::tmfg::tmfg`] does.
-fn reject_nan<S: SimilaritySource>(s: &S) -> Result<(), CoreError> {
-    match s.find_nan() {
-        Some((row, col)) => Err(CoreError::NanSimilarity { row, col }),
+/// below every real weight, and ±Inf weights are not similarities, so
+/// non-finite entries are rejected up front, as [`crate::tmfg::tmfg`] does.
+fn reject_non_finite<S: SimilaritySource>(s: &S) -> Result<(), CoreError> {
+    match s.find_non_finite() {
+        Some((row, col)) => Err(CoreError::NonFiniteSimilarity { row, col }),
         None => Ok(()),
     }
 }
@@ -450,13 +452,14 @@ fn pmfg_rounds<S: SimilaritySource>(
 ///
 /// # Errors
 /// Returns [`CoreError::TooFewVertices`] if `s` has fewer than 4 rows and
-/// [`CoreError::NanSimilarity`] if any off-diagonal entry is NaN.
+/// [`CoreError::NonFiniteSimilarity`] if any off-diagonal entry is NaN or
+/// ±Inf.
 pub fn pmfg_sequential<S: SimilaritySource>(s: &S) -> Result<Pmfg, CoreError> {
     let n = s.n();
     if n < 4 {
         return Err(CoreError::TooFewVertices { got: n });
     }
-    reject_nan(s)?;
+    reject_non_finite(s)?;
     let target_edges = 3 * n - 6;
     let mut stream = CandidateStream::new(s);
     let mut scratch = LrScratch::new();
@@ -538,9 +541,20 @@ mod tests {
         let mut s = random_similarity(10, 4);
         s.set(6, 8, f64::NAN);
         s.set(3, 9, f64::NAN);
-        let expected = CoreError::NanSimilarity { row: 3, col: 9 };
+        let expected = CoreError::NonFiniteSimilarity { row: 3, col: 9 };
         assert_eq!(pmfg(&s).unwrap_err(), expected);
         assert_eq!(pmfg_sequential(&s).unwrap_err(), expected);
+    }
+
+    #[test]
+    fn rejects_infinite_similarity() {
+        for bad in [f64::INFINITY, f64::NEG_INFINITY] {
+            let mut s = random_similarity(10, 4);
+            s.set(5, 7, bad);
+            let expected = CoreError::NonFiniteSimilarity { row: 5, col: 7 };
+            assert_eq!(pmfg(&s).unwrap_err(), expected, "{bad}");
+            assert_eq!(pmfg_sequential(&s).unwrap_err(), expected, "{bad}");
+        }
     }
 
     #[test]

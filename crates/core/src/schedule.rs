@@ -45,10 +45,16 @@ impl BatchSchedule {
     };
 
     /// TMFG per-face candidate cache depth, clamped from the insertion
-    /// prefix: at least 4 so single-insertion rounds rarely re-scan, at
-    /// most 32 because a face's cache only shrinks by entries *stolen* by
-    /// other faces of the same round (≤ prefix − 1 of them) and deeper
-    /// lists just cost memory and insert time.
+    /// prefix. Within a round a face's list only loses entries *stolen*
+    /// by other faces (≤ prefix − 1 of them), so a list of about `prefix`
+    /// entries usually serves the round's conflict refills without a
+    /// rescan. Across rounds a list that drains costs nothing until its
+    /// bound (the last entry) reaches the top of the selection heap, so
+    /// depth trades the price of that one lazy rescan against the
+    /// O(depth) insertion cost every list computation pays per
+    /// candidate: at least 4 so one-vertex rounds rarely rescan, at most
+    /// 32 because deeper lists cost more to build than the rescans they
+    /// save.
     pub const TMFG_CACHE_DEPTH: BatchSchedule = BatchSchedule {
         initial: 4,
         cap: 32,

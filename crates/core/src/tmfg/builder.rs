@@ -10,6 +10,22 @@
 //! matching the paper's semantics where near-sequential quality at
 //! moderate prefixes depends on contested faces staying in the running
 //! with fresh next-best choices rather than sitting the round out.
+//!
+//! Candidate maintenance (Lines 15–16) is lazy. One selection heap lives
+//! across rounds and holds, for every active face, its exact head — or,
+//! once the face's truncated cached list drained, the list's last entry
+//! as a bound that ranks before every candidate the list did not hold
+//! (see [`GainTable::bound`]). An entry is pushed whenever a face's head
+//! or bound changes and checked against the face's current state when
+//! popped, so superseded entries are simply dropped. A bound that reaches
+//! the top outranks everything still waiting, so only then is its face
+//! rescanned — together with every other bound consecutive at the top, in
+//! one parallel pass — against the round's unchanged remaining set, and
+//! re-enters with its exact head. Conflict refills go to a round-local
+//! heap merged with the persistent one under the same order. The selected
+//! batches are therefore exactly those of refreshing every drained face
+//! eagerly at round end, while faces whose bound never surfaces are never
+//! rescanned.
 
 use std::collections::BinaryHeap;
 
@@ -120,8 +136,14 @@ pub struct RoundStats {
     /// by a higher-gain pair this round (each one triggers a next-best
     /// refill for the losing face).
     pub conflicts: usize,
-    /// Refills that outran the face's cached candidate list and fell back
-    /// to a full rescan of the remaining pool.
+    /// Conflict refills that outran the face's cached candidate list and
+    /// fell back to a full rescan of the remaining pool. Lower than when
+    /// drained faces were rescanned eagerly at round end: a drained face
+    /// is now rescanned only when its bound reaches the top of the
+    /// selection heap, so its list is usually fresher when a conflict
+    /// walks it. (Not strictly lower on every input: an eager rescan is
+    /// occasionally the fresher one. The lazy rescans themselves are not
+    /// refills and are not counted here.)
     pub rescans: usize,
     /// Cohort vertices placed into a face created earlier in the same
     /// round instead of their round-start face (always 0 under
@@ -243,9 +265,10 @@ impl Tmfg {
 /// # Errors
 /// Returns [`CoreError::TooFewVertices`] if `s` has fewer than 4 rows,
 /// [`CoreError::InvalidPrefix`] if `config.prefix == 0`, and
-/// [`CoreError::NanSimilarity`] if any off-diagonal entry is NaN — the
-/// selector never picks NaN gains, so a vertex with an all-NaN row could
-/// never be inserted and construction would not terminate.
+/// [`CoreError::NonFiniteSimilarity`] if any off-diagonal entry is NaN or
+/// ±Inf — the selector never picks NaN gains (and `+Inf + −Inf` sums to
+/// NaN), so a vertex with an all-NaN row could never be inserted and
+/// construction would not terminate.
 pub fn tmfg<S: SimilaritySource>(s: &S, config: TmfgConfig) -> Result<Tmfg, CoreError> {
     if config.prefix == 0 {
         return Err(CoreError::InvalidPrefix);
@@ -257,8 +280,8 @@ pub fn tmfg<S: SimilaritySource>(s: &S, config: TmfgConfig) -> Result<Tmfg, Core
     // Parallel scan (one row per task, matching the builder's other
     // whole-matrix passes); the trait default's `min` makes the reported
     // entry deterministic.
-    if let Some((row, col)) = s.find_nan() {
-        return Err(CoreError::NanSimilarity { row, col });
+    if let Some((row, col)) = s.find_non_finite() {
+        return Err(CoreError::NonFiniteSimilarity { row, col });
     }
     Ok(Builder::new(s, config).run())
 }
@@ -268,9 +291,9 @@ pub fn tmfg_sequential<S: SimilaritySource>(s: &S) -> Result<Tmfg, CoreError> {
     tmfg(s, TmfgConfig::with_prefix(1))
 }
 
-/// A drawn `(face, vertex, gain)` candidate in the round's selection heap.
+/// A `(face, vertex, gain)` entry of the selection heaps.
 ///
-/// The heap pops the maximum gain first; ties break towards the smaller
+/// The heaps pop the maximum gain first; ties break towards the smaller
 /// face id, then the smaller vertex id, so the pop order is a strict total
 /// order (each face has at most one live entry) and the selection is
 /// deterministic regardless of worker count.
@@ -279,14 +302,23 @@ struct Candidate {
     face: usize,
     vertex: usize,
     gain: f64,
-    /// Position of this candidate in the face's cached list, or
-    /// [`OFF_CACHE`] if it came from a full rescan (a later refill for the
-    /// same face must rescan again).
-    pos: usize,
+    origin: Origin,
 }
 
-/// Sentinel list position for candidates produced by a full rescan.
-const OFF_CACHE: usize = usize::MAX;
+/// Where a [`Candidate`] came from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Origin {
+    /// Position `pos` of the face's cached list: the face's head, or a
+    /// round-local refill (the next refill for the face resumes at
+    /// `pos + 1`).
+    Cached(usize),
+    /// The face's [`GainTable::bound`]: a stand-in, never selected, that
+    /// is replaced by the face's exact head when it reaches the top.
+    Bound,
+    /// A full rescan of the remaining pool; a later refill for the same
+    /// face must rescan again.
+    Rescan,
+}
 
 impl PartialEq for Candidate {
     fn eq(&self, other: &Self) -> bool {
@@ -336,10 +368,24 @@ struct Builder<'a, S: SimilaritySource> {
     insertions: Vec<Insertion>,
     rounds: usize,
     round_stats: Vec<RoundStats>,
+    /// Persistent selection heap: every active face's current head or
+    /// bound, plus superseded entries that are dropped when they surface.
+    heap: BinaryHeap<Candidate>,
+    /// Vertex → already selected this round (all `false` between rounds).
+    taken: Vec<bool>,
+    /// Faces rescanned because their bound reached the top of the heap.
+    #[cfg(test)]
+    bound_refreshes: usize,
 }
 
 impl<'a, S: SimilaritySource> Builder<'a, S> {
     fn new(s: &'a S, config: TmfgConfig) -> Self {
+        Self::with_gains(s, config, GainTable::new(s.n(), config.prefix))
+    }
+
+    /// [`Builder::new`] with a caller-supplied (empty) gain table, so tests
+    /// can pick the cache depth.
+    fn with_gains(s: &'a S, config: TmfgConfig, mut gains: GainTable) -> Self {
         let n = s.n();
         // Lines 1–2: the four vertices with the highest row sums and all six
         // edges among them.
@@ -371,7 +417,6 @@ impl<'a, S: SimilaritySource> Builder<'a, S> {
         let outer_face = Triangle::new(v1, v2, v3);
         let tree = BubbleTree::new(initial_clique, outer_face, n);
         // Line 5: the candidate lists for each initial face.
-        let mut gains = GainTable::new(n, config.prefix);
         let depth = gains.depth();
         let face_candidates: Vec<CandidateList> = faces
             .par_iter()
@@ -385,7 +430,7 @@ impl<'a, S: SimilaritySource> Builder<'a, S> {
             face_bubble.push(0);
             gains.install(id, list, truncated);
         }
-        Self {
+        let mut builder = Self {
             s,
             prefix: config.prefix,
             freshness: config.freshness,
@@ -402,12 +447,25 @@ impl<'a, S: SimilaritySource> Builder<'a, S> {
             insertions: Vec::with_capacity(num_remaining),
             rounds: 0,
             round_stats: Vec::new(),
+            heap: BinaryHeap::new(),
+            taken: vec![false; n],
+            #[cfg(test)]
+            bound_refreshes: 0,
+        };
+        for face in 0..4 {
+            builder.push_entry(face);
         }
+        builder
     }
 
     fn run(mut self) -> Tmfg {
-        // Lines 8–17: insert the remaining vertices in rounds of up to
-        // `prefix` vertices.
+        self.insert_remaining();
+        self.into_tmfg()
+    }
+
+    /// Lines 8–17: insert the remaining vertices in rounds of up to
+    /// `prefix` vertices.
+    fn insert_remaining(&mut self) {
         while self.num_remaining > 0 {
             self.rounds += 1;
             let mut stats = RoundStats {
@@ -427,6 +485,9 @@ impl<'a, S: SimilaritySource> Builder<'a, S> {
             self.round_stats.push(stats);
         }
         debug_assert!(self.graph.has_maximal_planar_edge_count());
+    }
+
+    fn into_tmfg(self) -> Tmfg {
         Tmfg {
             graph: self.graph,
             bubble_tree: self.tree,
@@ -443,44 +504,17 @@ impl<'a, S: SimilaritySource> Builder<'a, S> {
     /// re-enters the draw with its next-best vertex. Returns
     /// `(face_id, vertex, gain)` triples in the order they were accepted
     /// (non-increasing gain).
-    fn select_batch(&self, stats: &mut RoundStats) -> Vec<(usize, usize, f64)> {
-        // Gather the head candidate of every active face. The filter and
-        // the lookup fuse into one parallel pass over the face ids,
-        // preserving face order, so the result is independent of the
-        // worker count.
-        let candidates: Vec<Candidate> = (0..self.faces.len())
-            .into_par_iter()
-            .filter(|&f| self.face_active[f])
-            .filter_map(|f| {
-                let (vertex, gain) = self.gains.head(f)?;
-                debug_assert!(self.remaining[vertex], "heads must be fresh");
-                Some(Candidate {
-                    face: f,
-                    vertex,
-                    gain,
-                    pos: self.gains.head_pos(f),
-                })
-            })
-            .collect();
-
-        if self.prefix == 1 {
-            // Fast path: a single parallel maximum (Line 9 simplification).
-            // Gains, faces and vertices reproduce the heap's pop order, so
-            // ties resolve identically to the general path below.
-            let best = pfg_primitives::par_max_index(&candidates, |c| c.gain)
-                .expect("at least one candidate while vertices remain");
-            let c = candidates[best];
-            return vec![(c.face, c.vertex, c.gain)];
-        }
-
+    fn select_batch(&mut self, stats: &mut RoundStats) -> Vec<(usize, usize, f64)> {
         let target = stats.target;
-        let mut heap: BinaryHeap<Candidate> = candidates.into();
-        let mut taken = vec![false; self.remaining.len()];
+        let mut refills: BinaryHeap<Candidate> = BinaryHeap::new();
         let mut selected: Vec<(usize, usize, f64)> = Vec::with_capacity(target);
         while selected.len() < target {
-            let Some(c) = heap.pop() else { break };
-            if !taken[c.vertex] {
-                taken[c.vertex] = true;
+            let Some(c) = self.pop_next(&mut refills) else {
+                break;
+            };
+            debug_assert!(self.remaining[c.vertex], "candidates must be fresh");
+            if !self.taken[c.vertex] {
+                self.taken[c.vertex] = true;
                 selected.push((c.face, c.vertex, c.gain));
                 continue;
             }
@@ -488,18 +522,20 @@ impl<'a, S: SimilaritySource> Builder<'a, S> {
             // Refill the face with its next-best available candidate so the
             // conflict shrinks neither the batch nor the candidate pool.
             stats.conflicts += 1;
-            let next = if c.pos == OFF_CACHE {
-                NextBest::Exhausted { truncated: true }
-            } else {
-                self.gains
-                    .next_best(c.face, c.pos + 1, &self.remaining, &taken)
+            let next = match c.origin {
+                Origin::Cached(pos) => {
+                    self.gains
+                        .next_best(c.face, pos + 1, &self.remaining, &self.taken)
+                }
+                Origin::Rescan => NextBest::Exhausted { truncated: true },
+                Origin::Bound => unreachable!("pop_next replaces bounds by exact heads"),
             };
             match next {
-                NextBest::Found { pos, vertex, gain } => heap.push(Candidate {
+                NextBest::Found { pos, vertex, gain } => refills.push(Candidate {
                     face: c.face,
                     vertex,
                     gain,
-                    pos,
+                    origin: Origin::Cached(pos),
                 }),
                 NextBest::Exhausted { truncated: true } => {
                     // The cached list ran dry but the remaining pool holds
@@ -509,20 +545,111 @@ impl<'a, S: SimilaritySource> Builder<'a, S> {
                         self.s,
                         self.faces[c.face],
                         &self.remaining,
-                        &taken,
+                        &self.taken,
                     ) {
-                        heap.push(Candidate {
+                        refills.push(Candidate {
                             face: c.face,
                             vertex,
                             gain,
-                            pos: OFF_CACHE,
+                            origin: Origin::Rescan,
                         });
                     }
                 }
                 NextBest::Exhausted { truncated: false } => {}
             }
         }
+        for &(_, v, _) in &selected {
+            self.taken[v] = false;
+        }
         selected
+    }
+
+    /// Pops the next candidate in selection order from the persistent heap
+    /// merged with the round's `refills`. Superseded persistent entries are
+    /// dropped on the way. Bounds that reach the top are first replaced by
+    /// their faces' exact heads: every bound consecutive at the top is
+    /// rescanned in one parallel pass.
+    fn pop_next(&mut self, refills: &mut BinaryHeap<Candidate>) -> Option<Candidate> {
+        let mut drained: Vec<usize> = Vec::new();
+        loop {
+            while let Some(&top) = self.heap.peek() {
+                if !self.is_current(&top) {
+                    self.heap.pop();
+                } else if top.origin == Origin::Bound
+                    && refills.peek().is_none_or(|refill| top > *refill)
+                {
+                    drained.push(top.face);
+                    self.heap.pop();
+                } else {
+                    break;
+                }
+            }
+            if drained.is_empty() {
+                break;
+            }
+            self.refresh(&drained);
+            drained.clear();
+        }
+        match (self.heap.peek(), refills.peek()) {
+            (Some(top), Some(refill)) if refill > top => refills.pop(),
+            (Some(_), _) => self.heap.pop(),
+            (None, _) => refills.pop(),
+        }
+    }
+
+    /// Rescans the `drained` faces against the remaining pool (unchanged
+    /// during selection, so the order of the rescans does not matter),
+    /// installs the fresh lists and pushes the new heads.
+    fn refresh(&mut self, drained: &[usize]) {
+        let (s, faces, remaining) = (self.s, &self.faces, &self.remaining);
+        let depth = self.gains.depth();
+        let lists: Vec<CandidateList> = drained
+            .par_iter()
+            .map(|&f| GainTable::compute_candidates(s, faces[f], remaining, depth))
+            .collect();
+        for (&f, (list, truncated)) in drained.iter().zip(lists) {
+            self.gains.install(f, list, truncated);
+            self.push_entry(f);
+        }
+        #[cfg(test)]
+        {
+            self.bound_refreshes += drained.len();
+        }
+    }
+
+    /// The face's entry in the selection order: its head, else its bound,
+    /// else `None` (no candidate left).
+    fn entry(&self, face: usize) -> Option<Candidate> {
+        let (vertex, gain, origin) = match self.gains.head(face) {
+            Some((vertex, gain)) => (vertex, gain, Origin::Cached(self.gains.head_pos(face))),
+            None => {
+                let (vertex, gain) = self.gains.bound(face)?;
+                (vertex, gain, Origin::Bound)
+            }
+        };
+        Some(Candidate {
+            face,
+            vertex,
+            gain,
+            origin,
+        })
+    }
+
+    /// Pushes the face's current entry onto the persistent heap.
+    fn push_entry(&mut self, face: usize) {
+        if let Some(c) = self.entry(face) {
+            self.heap.push(c);
+        }
+    }
+
+    /// Whether a persistent-heap entry still describes its face: the face
+    /// is active and its head (position and vertex) or bound is unchanged
+    /// since the entry was pushed.
+    fn is_current(&self, c: &Candidate) -> bool {
+        self.face_active[c.face]
+            && self
+                .entry(c.face)
+                .is_some_and(|e| e.vertex == c.vertex && e.origin == c.origin)
     }
 
     /// Inserts `v` into face `face_id`: adds the three edges, updates the
@@ -571,28 +698,26 @@ impl<'a, S: SimilaritySource> Builder<'a, S> {
         };
         stats.placement_ns = placement_start.elapsed().as_nanos() as u64;
 
-        // Line 15: lazily advance the faces whose head vertex was inserted
-        // this round; only faces whose truncated cache drained need a full
-        // recomputation.
-        let mut faces_to_refresh: Vec<usize> = Vec::new();
+        // Line 15: advance the faces whose head vertex was inserted this
+        // round and queue their new heads (or bounds, for drained lists).
+        let mut advanced: Vec<usize> = Vec::new();
         for &(_, v, _) in selected {
-            self.gains.on_vertex_inserted(
-                v,
-                &self.remaining,
-                &self.face_active,
-                &mut faces_to_refresh,
-            );
+            self.gains
+                .on_vertex_inserted(v, &self.remaining, &self.face_active, &mut advanced);
+        }
+        for face in advanced {
+            self.push_entry(face);
         }
 
+        // Line 16: each insertion's three new faces refresh off one fused
+        // scan of the remaining pool (4 similarity loads per vertex
+        // instead of 9 — the follow-up paper's gain maintenance). Children
+        // consumed later in the same round (intra-round freshness) are
+        // skipped at install. Drained survivors are not rescanned here;
+        // their bounds wait in the heap (see `pop_next`).
         let s = self.s;
         let remaining = &self.remaining;
         let depth = self.gains.depth();
-
-        // Line 16, children: each insertion's three new faces refresh off
-        // one fused scan of the remaining pool (4 similarity loads per
-        // vertex instead of 9 — the follow-up paper's gain maintenance).
-        // Children consumed later in the same round (intra-round freshness)
-        // are skipped at install.
         let fused: Vec<(ChildGroup, [CandidateList; 3])> = groups
             .par_iter()
             .map(|&g| {
@@ -609,28 +734,9 @@ impl<'a, S: SimilaritySource> Builder<'a, S> {
                 let f = g.children[slot];
                 if self.face_active[f] {
                     self.gains.install(f, list, truncated);
+                    self.push_entry(f);
                 }
             }
-        }
-
-        faces_to_refresh.sort_unstable();
-        faces_to_refresh.dedup();
-        faces_to_refresh.retain(|&f| self.face_active[f]);
-
-        // Line 16, drained survivors: recompute the candidate lists in
-        // parallel, each face scanning the remaining vertex set.
-        let faces = &self.faces;
-        let updates: Vec<(usize, CandidateList)> = faces_to_refresh
-            .par_iter()
-            .map(|&f| {
-                (
-                    f,
-                    GainTable::compute_candidates(s, faces[f], remaining, depth),
-                )
-            })
-            .collect();
-        for (f, (list, truncated)) in updates {
-            self.gains.install(f, list, truncated);
         }
     }
 
@@ -774,6 +880,7 @@ struct ChildGroup {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::schedule::BatchSchedule;
     use pfg_graph::SymmetricMatrix;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -828,8 +935,25 @@ mod tests {
         for prefix in [1, 3] {
             assert!(matches!(
                 tmfg(&s, TmfgConfig::with_prefix(prefix)),
-                Err(CoreError::NanSimilarity { .. })
+                Err(CoreError::NonFiniteSimilarity { .. })
             ));
+        }
+    }
+
+    #[test]
+    fn infinite_similarity_is_rejected_up_front() {
+        // ±Inf is no similarity, and one +Inf and one −Inf on the same
+        // face sum to a NaN gain.
+        for bad in [f64::INFINITY, f64::NEG_INFINITY] {
+            let mut s = random_similarity(12, 2);
+            s.set(4, 9, bad);
+            for prefix in [1, 3] {
+                assert_eq!(
+                    tmfg(&s, TmfgConfig::with_prefix(prefix)).unwrap_err(),
+                    CoreError::NonFiniteSimilarity { row: 4, col: 9 },
+                    "{bad} prefix {prefix}"
+                );
+            }
         }
     }
 
@@ -1138,6 +1262,77 @@ mod tests {
                     let par_edges: Vec<_> = parallel.graph.edges().collect();
                     assert_eq!(seq_edges, par_edges, "{ctx}: edge sets must match");
                 }
+            }
+        }
+    }
+
+    /// Block-structured similarities: `clusters` groups of mutually similar
+    /// vertices, scaled by a per-vertex pull that makes faces everywhere
+    /// rank the same strong vertices first, so cached lists drain while
+    /// truncated even at large prefixes.
+    fn clustered_similarity(n: usize, clusters: usize, seed: u64) -> SymmetricMatrix {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let pull: Vec<f64> = (0..n).map(|_| rng.gen_range(0.2..1.0)).collect();
+        SymmetricMatrix::from_fn(n, |i, j| {
+            let shared = pull[i] * pull[j];
+            if i == j {
+                1.0
+            } else if i % clusters == j % clusters {
+                0.3 + 0.6 * shared
+            } else {
+                0.6 * shared
+            }
+        })
+    }
+
+    /// Builds with an explicit cache depth; also returns how many bound
+    /// entries reached the top of the selection heap and were rescanned.
+    fn build_with_depth(s: &SymmetricMatrix, config: TmfgConfig, depth: usize) -> (Tmfg, usize) {
+        let mut builder = Builder::with_gains(s, config, GainTable::with_depth(s.n(), depth));
+        builder.insert_remaining();
+        let refreshes = builder.bound_refreshes;
+        (builder.into_tmfg(), refreshes)
+    }
+
+    #[test]
+    fn lazy_bounds_match_untruncated_oracle() {
+        // With a cache depth of at least n − 4 no candidate list is ever
+        // truncated, so no face ever waits at a bound: every head is exact
+        // from the start. The default depth must select the same batches
+        // although it defers drained faces behind their bounds.
+        let n = 200;
+        let s = clustered_similarity(n, 8, 31);
+        for freshness in [BatchFreshness::IntraRound, BatchFreshness::Simultaneous] {
+            for prefix in [1, 10, 50] {
+                let config = TmfgConfig { prefix, freshness };
+                let ctx = format!("prefix {prefix} {freshness:?}");
+                let (oracle, oracle_refreshes) = build_with_depth(&s, config, n - 4);
+                let (lazy, lazy_refreshes) =
+                    build_with_depth(&s, config, BatchSchedule::TMFG_CACHE_DEPTH.clamp(prefix));
+                assert_eq!(oracle_refreshes, 0, "{ctx}: the oracle never drains");
+                assert!(lazy_refreshes > 0, "{ctx}: bounds must be exercised");
+
+                let trace = |t: &Tmfg| -> Vec<(usize, Triangle, u64, usize)> {
+                    t.insertions
+                        .iter()
+                        .map(|i| (i.vertex, i.face, i.gain.to_bits(), i.round))
+                        .collect()
+                };
+                assert_eq!(trace(&oracle), trace(&lazy), "{ctx}: insertions");
+                let edges = |t: &Tmfg| -> Vec<(usize, usize, u64)> {
+                    t.graph
+                        .edges()
+                        .map(|(u, v, w)| (u, v, w.to_bits()))
+                        .collect()
+                };
+                assert_eq!(edges(&oracle), edges(&lazy), "{ctx}: edges");
+                let rounds = |t: &Tmfg| -> Vec<[usize; 4]> {
+                    t.round_stats
+                        .iter()
+                        .map(|r| [r.target, r.selected, r.conflicts, r.reassigned])
+                        .collect()
+                };
+                assert_eq!(rounds(&oracle), rounds(&lazy), "{ctx}: round stats");
             }
         }
     }

@@ -9,23 +9,28 @@
 //! therefore caches, per face, the top-k candidate `(vertex, gain)` pairs
 //! found at the face's last refresh, in decreasing gain order.
 //!
-//! Two properties make the cache cheap to keep fresh:
+//! Three properties make the cache cheap to keep fresh:
 //!
 //! * **Gains are immutable.** The gain of inserting `v` into face `t`
 //!   depends only on the input matrix, so a cached list never reorders; the
 //!   candidate pool only ever *shrinks* as vertices are inserted.
-//! * **Lazy invalidation.** Entries for inserted vertices are not eagerly
-//!   removed; readers skip them. Each face keeps a cursor to its first
-//!   still-valid entry, advanced via the vertex → faces reverse index when
-//!   the head vertex is inserted. A face is recomputed from scratch only
-//!   when its cached list runs dry *and* the list was truncated (the
-//!   remaining pool held more candidates than the cache depth), so refresh
-//!   work stays proportional to the faces actually affected by a round.
-//! * **Fused child refresh.** The only faces that *must* be recomputed
-//!   every round are the 3 per insertion that did not exist before it.
-//!   Those three share two corners with the consumed parent and one with
-//!   each other, so one scan over the remaining pool serves all three —
-//!   4 similarity loads per vertex instead of 9 — via
+//! * **Lazy invalidation and lazy refresh.** Entries for inserted vertices
+//!   are not eagerly removed; readers skip them. Each face keeps a cursor
+//!   to its first still-valid entry, advanced via the vertex → faces
+//!   reverse index when the head vertex is inserted. When a truncated list
+//!   drains, the face is *not* rescanned: its last cached entry becomes a
+//!   [`GainTable::bound`] that no uncached candidate beats in the
+//!   `(gain desc, face asc, vertex asc)` selection order, because
+//!   [`GainTable::compute_candidates`] rejects gains at or below its worst
+//!   entry and evicts only from the tail. The builder keeps the bound in
+//!   its selection heap and recomputes the list only when the bound
+//!   reaches the top, so faces that never become competitive are never
+//!   rescanned at all.
+//! * **Fused child refresh.** The only faces that *must* be computed every
+//!   round are the 3 per insertion that did not exist before it. Those
+//!   three share two corners with the consumed parent and one with each
+//!   other, so one scan over the remaining pool serves all three — 4
+//!   similarity loads per vertex instead of 9 — via
 //!   [`GainTable::compute_candidates_for_children`], bitwise identical to
 //!   three standalone refreshes.
 //!
@@ -35,9 +40,9 @@
 //! inserted, so the index holds at most one live entry per face plus a
 //! bounded number of stale ones — O(faces), not O(insertions × faces).
 //!
-//! NaN similarities are skipped when candidate lists are built, so a NaN
-//! gain can never be selected (mirroring `pfg_primitives::par_max_index`,
-//! whose NaN keys never win).
+//! NaN gains are skipped when candidate lists are built, so a NaN gain can
+//! never be selected; [`crate::tmfg::tmfg`] rejects non-finite
+//! similarities up front in any case.
 
 use pfg_graph::SimilaritySource;
 
@@ -52,7 +57,7 @@ pub const MIN_CACHE_DEPTH: usize = BatchSchedule::TMFG_CACHE_DEPTH.initial;
 /// ([`BatchSchedule::TMFG_CACHE_DEPTH`]`.cap`). Deeper caches make
 /// mid-round conflict refills cheaper but every face refresh pays
 /// O(depth) per candidate hit; 32 keeps the memory and refresh cost
-/// trivial while making full rescans rare even for large prefixes.
+/// trivial while making mid-round rescans rare even for large prefixes.
 pub const MAX_CACHE_DEPTH: usize = BatchSchedule::TMFG_CACHE_DEPTH.cap;
 
 /// A freshly computed per-face candidate list (decreasing gain) and
@@ -111,8 +116,14 @@ impl GainTable {
     /// at most `prefix − 1` of a face's top candidates before the face is
     /// asked for another.
     pub fn new(num_vertices: usize, prefix: usize) -> Self {
+        Self::with_depth(num_vertices, BatchSchedule::TMFG_CACHE_DEPTH.clamp(prefix))
+    }
+
+    /// Creates an empty table with an explicit cache depth (at least 1).
+    pub(crate) fn with_depth(num_vertices: usize, depth: usize) -> Self {
+        debug_assert!(depth >= 1, "a candidate list must hold one entry");
         Self {
-            depth: BatchSchedule::TMFG_CACHE_DEPTH.clamp(prefix),
+            depth,
             lists: Vec::new(),
             cursor: Vec::new(),
             truncated: Vec::new(),
@@ -159,6 +170,23 @@ impl GainTable {
     #[inline]
     pub fn is_truncated(&self, face: usize) -> bool {
         self.truncated[face]
+    }
+
+    /// The bound of a face whose truncated list drained: its last cached
+    /// `(vertex, gain)` entry (whose vertex is no longer remaining). Every
+    /// candidate the list did not hold ranks after this entry in the
+    /// `(gain desc, vertex asc)` order, so the face needs a rescan only
+    /// once the bound is the best entry left in the selection. `None`
+    /// while the face has a head, or when its untruncated list drained
+    /// (the face has no candidate left).
+    #[inline]
+    pub fn bound(&self, face: usize) -> Option<(usize, f64)> {
+        let list = &self.lists[face];
+        if self.cursor[face] == list.len() && self.truncated[face] {
+            list.last().copied()
+        } else {
+            None
+        }
     }
 
     /// Faces whose recorded head may be `v` (possibly stale).
@@ -208,17 +236,18 @@ impl GainTable {
 
     /// Reacts to the insertion of vertex `v`: every face registered under
     /// `v` advances its cursor to the next still-remaining entry and
-    /// re-registers under the new head. Faces whose list drained while
-    /// truncated are appended to `needs_rescan` (the caller recomputes and
-    /// [`GainTable::install`]s them). Stale registrations — faces that are
-    /// no longer active or whose head moved on — are dropped, which keeps
-    /// the reverse index O(faces).
+    /// re-registers under the new head. Every face whose cursor moved is
+    /// appended to `advanced`: it now has a new head, a
+    /// [`GainTable::bound`] (its truncated list drained), or no candidate
+    /// left. Stale registrations — faces that are no longer active or
+    /// whose head moved on — are dropped, which keeps the reverse index
+    /// O(faces).
     pub fn on_vertex_inserted(
         &mut self,
         v: usize,
         remaining: &[bool],
         face_active: &[bool],
-        needs_rescan: &mut Vec<usize>,
+        advanced: &mut Vec<usize>,
     ) {
         let registered = std::mem::take(&mut self.faces_of_best[v]);
         for face in registered {
@@ -236,11 +265,10 @@ impl GainTable {
                 cursor += 1;
             }
             self.cursor[face] = cursor;
-            match self.lists[face].get(cursor) {
-                Some(&(new_head, _)) => self.faces_of_best[new_head].push(face),
-                None if self.truncated[face] => needs_rescan.push(face),
-                None => {}
+            if let Some(&(new_head, _)) = list.get(cursor) {
+                self.faces_of_best[new_head].push(face);
             }
+            advanced.push(face);
         }
     }
 
@@ -367,7 +395,7 @@ impl GainTable {
 
     /// Scans for the best vertex to insert into `triangle` among vertices
     /// that are `remaining` and not `taken` — the fallback when a truncated
-    /// cached list runs dry mid-round. Ties break towards the smaller
+    /// cached list runs dry during a round's conflict refills. Ties break towards the smaller
     /// vertex id; NaN gains never win. Returns `(vertex, gain)` or `None`.
     pub fn rescan_excluding<S: SimilaritySource>(
         s: &S,
@@ -629,12 +657,13 @@ mod tests {
         assert_eq!(table.faces_possibly_best_for(4), &[f]);
 
         remaining[4] = false;
-        let mut needs_rescan = Vec::new();
-        table.on_vertex_inserted(4, &remaining, &[true], &mut needs_rescan);
-        assert!(needs_rescan.is_empty());
+        let mut advanced = Vec::new();
+        table.on_vertex_inserted(4, &remaining, &[true], &mut advanced);
+        assert_eq!(advanced, vec![f]);
         let (head, gain) = table.head(f).unwrap();
         assert_eq!(head, 3);
         assert!((gain - 0.3).abs() < 1e-12);
+        assert_eq!(table.bound(f), None, "a face with a head has no bound");
         assert!(table.faces_possibly_best_for(4).is_empty(), "consumed");
         assert_eq!(table.faces_possibly_best_for(3), &[f]);
     }
@@ -653,19 +682,35 @@ mod tests {
         let (list, truncated) = GainTable::compute_candidates(&s, t, &remaining, table.depth());
         assert!(truncated, "5 candidates > depth 4");
         table.install(f, list, truncated);
-        // Insert the four cached candidates one by one; draining the list
-        // must request a rescan because more candidates exist off-cache.
-        let mut needs_rescan = Vec::new();
+        // Insert the four cached candidates one by one. Draining the list
+        // leaves no head but exposes the last cached entry as the bound on
+        // the off-cache candidates, which the rescan must respect.
+        let mut advanced = Vec::new();
         for v in 3..7 {
             remaining[v] = false;
-            table.on_vertex_inserted(v, &remaining, &[true], &mut needs_rescan);
+            table.on_vertex_inserted(v, &remaining, &[true], &mut advanced);
         }
-        assert_eq!(needs_rescan, vec![f]);
+        assert_eq!(advanced, vec![f; 4]);
         assert_eq!(table.head(f), None);
+        assert_eq!(table.bound(f), Some((6, 1.5)));
         let (fresh, fresh_truncated) =
             GainTable::compute_candidates(&s, t, &remaining, table.depth());
         assert_eq!(fresh, vec![(7, 1.5)]);
+        let (bound_vertex, bound_gain) = (6, 1.5);
+        assert!(
+            fresh[0].1 < bound_gain || (fresh[0].1 == bound_gain && fresh[0].0 > bound_vertex),
+            "the bound ranks before every off-cache candidate"
+        );
         assert!(!fresh_truncated);
+        table.install(f, fresh, fresh_truncated);
+        assert_eq!(table.head(f), Some((7, 1.5)));
+        assert_eq!(table.bound(f), None);
+
+        // An untruncated list that drains has no bound: the face is done.
+        remaining[7] = false;
+        table.on_vertex_inserted(7, &remaining, &[true], &mut advanced);
+        assert_eq!(table.head(f), None);
+        assert_eq!(table.bound(f), None);
     }
 
     #[test]
@@ -684,8 +729,9 @@ mod tests {
         assert_eq!(table.faces_possibly_best_for(4), &[f, f]);
         let mut remaining = remaining;
         remaining[4] = false;
-        let mut needs_rescan = Vec::new();
-        table.on_vertex_inserted(4, &remaining, &[true], &mut needs_rescan);
+        let mut advanced = Vec::new();
+        table.on_vertex_inserted(4, &remaining, &[true], &mut advanced);
+        assert_eq!(advanced, vec![f], "advanced once");
         assert_eq!(table.head(f).unwrap().0, 3);
         assert_eq!(table.faces_possibly_best_for(3), &[f]);
         assert!(table.faces_possibly_best_for(4).is_empty());
@@ -701,14 +747,14 @@ mod tests {
         let (list, truncated) = GainTable::compute_candidates(&s, t, &remaining, table.depth());
         table.install(f, list, truncated);
         remaining[4] = false;
-        let mut needs_rescan = Vec::new();
+        let mut advanced = Vec::new();
         // The face went inactive (split) before its head was inserted.
-        table.on_vertex_inserted(4, &remaining, &[false], &mut needs_rescan);
+        table.on_vertex_inserted(4, &remaining, &[false], &mut advanced);
         assert!(table.faces_possibly_best_for(4).is_empty());
         assert!(
             table.faces_possibly_best_for(3).is_empty(),
             "not re-registered"
         );
-        assert!(needs_rescan.is_empty());
+        assert!(advanced.is_empty());
     }
 }

@@ -12,10 +12,14 @@
 //! the draw with its next-best remaining vertex, so conflicts shrink
 //! neither the batch nor the candidate pool — each round inserts exactly
 //! `min(PREFIX, |remaining|, |active faces|)` vertices. The per-face
-//! candidate lists are maintained lazily (see [`GainTable`]) and rebuilt in
-//! parallel only for newly created faces and for faces whose cached
-//! candidates ran dry. With `prefix = 1` the construction is identical to
-//! the sequential TMFG of Massara et al.
+//! candidate lists are maintained lazily (see [`GainTable`]): every round
+//! computes lists for its newly created faces only. A face whose truncated
+//! list ran dry waits in the persistent selection heap at the list's last
+//! entry, which bounds every candidate the list did not hold, and is
+//! rescanned only when that bound reaches the top of the heap — the
+//! selected batches are the same as with an eager rescan of every drained
+//! face. With `prefix = 1` the construction is identical to the
+//! sequential TMFG of Massara et al.
 //!
 //! The bubble tree (Algorithm 2) is maintained during construction at no
 //! extra asymptotic cost and is returned alongside the graph.

@@ -10,7 +10,7 @@ use crate::weighted_graph::WeightedGraph;
 use std::collections::VecDeque;
 
 /// Hop distances from `source`; unreachable vertices get `usize::MAX`.
-pub fn bfs_distances(graph: &WeightedGraph, source: usize) -> Vec<usize> {
+fn bfs_distances(graph: &WeightedGraph, source: usize) -> Vec<usize> {
     let n = graph.num_vertices();
     let mut dist = vec![usize::MAX; n];
     let mut queue = VecDeque::new();

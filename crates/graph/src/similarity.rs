@@ -51,15 +51,15 @@ pub trait SimilaritySource: Sync {
         idx
     }
 
-    /// First NaN entry of the strict upper triangle in `(row, col)`
-    /// lexicographic order, scanned in parallel.
-    fn find_nan(&self) -> Option<(usize, usize)> {
+    /// First non-finite (NaN or ±Inf) entry of the strict upper triangle
+    /// in `(row, col)` lexicographic order, scanned in parallel.
+    fn find_non_finite(&self) -> Option<(usize, usize)> {
         let n = self.n();
         (0..n)
             .into_par_iter()
             .filter_map(|row| {
                 ((row + 1)..n)
-                    .find(|&col| self.get(row, col).is_nan())
+                    .find(|&col| !self.get(row, col).is_finite())
                     .map(|col| (row, col))
             })
             .min()
@@ -200,15 +200,17 @@ mod tests {
 
     #[test]
     fn nan_entry_matches_dense_scan() {
-        let mut m = random_matrix(10, 21);
-        assert_eq!(m.find_nan(), None);
-        m.set(3, 7, f64::NAN);
-        m.set(2, 9, f64::NAN);
-        let dense = (0..10)
-            .flat_map(|i| (i + 1..10).map(move |j| (i, j)))
-            .find(|&(i, j)| m.get(i, j).is_nan());
-        assert_eq!(dense, Some((2, 9)));
-        assert_eq!(m.find_nan(), dense);
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut m = random_matrix(10, 21);
+            assert_eq!(m.find_non_finite(), None);
+            m.set(3, 7, bad);
+            m.set(2, 9, bad);
+            let dense = (0..10)
+                .flat_map(|i| (i + 1..10).map(move |j| (i, j)))
+                .find(|&(i, j)| !m.get(i, j).is_finite());
+            assert_eq!(dense, Some((2, 9)), "{bad}");
+            assert_eq!(m.find_non_finite(), dense, "{bad}");
+        }
     }
 
     #[test]

@@ -1,122 +1,11 @@
-//! Priority concurrent writes (`WRITE_MIN`, `WRITE_MAX`, `WRITE_ADD`).
+//! Priority concurrent writes (`WRITE_MIN`, `WRITE_MAX`).
 //!
 //! The paper assumes constant-work priority concurrent writes (Table I).
-//! [`AtomicF64`] provides them for plain `f64` values via compare-and-swap
-//! loops on the underlying bit pattern; [`PriorityCell`] provides them for
-//! `(key, payload)` pairs (used for vertex assignments, where the payload is
-//! the bubble identifier), backed by a short-critical-section `std` mutex.
+//! [`PriorityCell`] provides them for `(key, payload)` pairs (used for
+//! vertex assignments, where the payload is the bubble identifier), backed
+//! by a short-critical-section `std` mutex.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
-
-/// An `f64` cell supporting concurrent `write_min` / `write_max` /
-/// `write_add` operations.
-///
-/// Values are stored as their IEEE-754 bit patterns inside an [`AtomicU64`],
-/// and the read–modify–write operations use CAS loops. NaN inputs are
-/// ignored by `write_min`/`write_max` (they never win) and are propagated by
-/// `write_add` like ordinary float addition.
-#[derive(Debug)]
-pub struct AtomicF64 {
-    bits: AtomicU64,
-}
-
-impl AtomicF64 {
-    /// Creates a new cell holding `value`.
-    #[inline]
-    pub fn new(value: f64) -> Self {
-        Self {
-            bits: AtomicU64::new(value.to_bits()),
-        }
-    }
-
-    /// Loads the current value.
-    #[inline]
-    pub fn load(&self) -> f64 {
-        f64::from_bits(self.bits.load(Ordering::Acquire))
-    }
-
-    /// Stores `value` unconditionally.
-    #[inline]
-    pub fn store(&self, value: f64) {
-        self.bits.store(value.to_bits(), Ordering::Release);
-    }
-
-    /// `WRITE_MIN`: atomically replaces the stored value with `value` if
-    /// `value` is strictly smaller. Returns `true` if the write won.
-    pub fn write_min(&self, value: f64) -> bool {
-        if value.is_nan() {
-            return false;
-        }
-        let mut current = self.bits.load(Ordering::Acquire);
-        loop {
-            if value >= f64::from_bits(current) {
-                return false;
-            }
-            match self.bits.compare_exchange_weak(
-                current,
-                value.to_bits(),
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => return true,
-                Err(observed) => current = observed,
-            }
-        }
-    }
-
-    /// `WRITE_MAX`: atomically replaces the stored value with `value` if
-    /// `value` is strictly larger. Returns `true` if the write won.
-    pub fn write_max(&self, value: f64) -> bool {
-        if value.is_nan() {
-            return false;
-        }
-        let mut current = self.bits.load(Ordering::Acquire);
-        loop {
-            if value <= f64::from_bits(current) {
-                return false;
-            }
-            match self.bits.compare_exchange_weak(
-                current,
-                value.to_bits(),
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => return true,
-                Err(observed) => current = observed,
-            }
-        }
-    }
-
-    /// `WRITE_ADD`: atomically adds `value` to the stored value.
-    pub fn write_add(&self, value: f64) {
-        let mut current = self.bits.load(Ordering::Acquire);
-        loop {
-            let next = f64::from_bits(current) + value;
-            match self.bits.compare_exchange_weak(
-                current,
-                next.to_bits(),
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => return,
-                Err(observed) => current = observed,
-            }
-        }
-    }
-}
-
-impl Default for AtomicF64 {
-    fn default() -> Self {
-        Self::new(0.0)
-    }
-}
-
-impl Clone for AtomicF64 {
-    fn clone(&self) -> Self {
-        Self::new(self.load())
-    }
-}
 
 /// A keyed priority-write cell holding a `(key, payload)` pair.
 ///
@@ -198,45 +87,6 @@ impl Default for PriorityCell {
 mod tests {
     use super::*;
     use rayon::prelude::*;
-
-    #[test]
-    fn atomic_f64_min_max_add() {
-        let cell = AtomicF64::new(5.0);
-        assert!(cell.write_min(3.0));
-        assert!(!cell.write_min(4.0));
-        assert_eq!(cell.load(), 3.0);
-        assert!(cell.write_max(10.0));
-        assert!(!cell.write_max(2.0));
-        assert_eq!(cell.load(), 10.0);
-        cell.write_add(-4.0);
-        assert_eq!(cell.load(), 6.0);
-    }
-
-    #[test]
-    fn atomic_f64_ignores_nan_priority_writes() {
-        let cell = AtomicF64::new(1.0);
-        assert!(!cell.write_min(f64::NAN));
-        assert!(!cell.write_max(f64::NAN));
-        assert_eq!(cell.load(), 1.0);
-    }
-
-    #[test]
-    fn concurrent_write_max_finds_global_max() {
-        let cell = AtomicF64::new(f64::NEG_INFINITY);
-        (0..10_000i64).into_par_iter().for_each(|i| {
-            cell.write_max((i % 977) as f64);
-        });
-        assert_eq!(cell.load(), 976.0);
-    }
-
-    #[test]
-    fn concurrent_write_add_sums_exactly_for_integers() {
-        let cell = AtomicF64::new(0.0);
-        (0..5_000i64).into_par_iter().for_each(|_| {
-            cell.write_add(1.0);
-        });
-        assert_eq!(cell.load(), 5_000.0);
-    }
 
     #[test]
     fn priority_cell_tie_breaks_to_smaller_payload() {

@@ -3,14 +3,10 @@
 //! This crate implements the primitives of Table I of *Parallel Filtered
 //! Graphs for Hierarchical Clustering* (Yu & Shun, ICDE 2023):
 //!
-//! * [`par_filter`] — parallel filter preserving input order,
 //! * [`par_sort_by`] / [`par_sort_unstable_by`] — parallel comparison sorts,
-//! * [`par_max_index`] — parallel maximum,
-//! * [`AtomicF64`] with [`AtomicF64::write_min`], [`AtomicF64::write_max`],
-//!   and [`AtomicF64::write_add`] — the `WRITE_MIN` / `WRITE_MAX` /
-//!   `WRITE_ADD` priority concurrent writes,
-//! * [`PriorityCell`] — a keyed priority write cell used for the vertex
-//!   assignment writes of Algorithm 4 (e.g. `WRITE_MAX(v.g, (χ, b))`).
+//! * [`PriorityCell`] — the `WRITE_MIN` / `WRITE_MAX` priority concurrent
+//!   writes on a keyed cell, used for the vertex assignment writes of
+//!   Algorithm 4 (e.g. `WRITE_MAX(v.g, (χ, b))`).
 //!
 //! All parallel operations are built on rayon's fork–join API, which
 //! matches the work–span model used in the paper. Under the offline shim
@@ -24,8 +20,8 @@ pub mod atomic;
 pub mod par;
 
 pub use allow::{AllowEntry, AllowFile};
-pub use atomic::{AtomicF64, PriorityCell};
-pub use par::{par_filter, par_max_index, par_sort_by, par_sort_unstable_by};
+pub use atomic::PriorityCell;
+pub use par::{par_sort_by, par_sort_unstable_by};
 
 /// Re-export of rayon so downstream crates can build thread pools for the
 /// scalability experiments without an extra direct dependency.
@@ -49,11 +45,11 @@ mod tests {
 
     #[test]
     fn smoke_reexports() {
-        let v = vec![3_i64, 1, 4, 1, 5];
-        let evens = par_filter(&v, |x| *x % 2 == 0);
-        assert_eq!(evens, vec![4]);
-        let cell = AtomicF64::new(0.0);
-        cell.write_add(1.5);
-        assert!((cell.load() - 1.5).abs() < 1e-12);
+        let mut v = vec![3_i64, 1, 4, 1, 5];
+        par_sort_by(&mut v, |a, b| a.cmp(b));
+        assert_eq!(v, vec![1, 1, 3, 4, 5]);
+        let cell = PriorityCell::neg_infinity();
+        assert!(cell.write_max(1.5, 2));
+        assert_eq!(cell.load(), (1.5, 2));
     }
 }
