@@ -52,15 +52,24 @@
 //! Two implementation rules turn "same tree" into "byte-identical
 //! dendrogram":
 //!
-//! * **Pure pair statistics.** `(max, mean)` for a cluster pair is always
-//!   recomputed from the two member sets in a canonical order (outer loop
-//!   over the smaller-min-member cluster, members ascending), never
-//!   accumulated via Lance–Williams float updates. A Lance–Williams mean
-//!   drifts by ulps depending on merge order, which on tie-heavy inputs
-//!   is enough to flip a comparison and change the tree; the pure
-//!   recomputation makes every comparison identical across engines and
-//!   thread counts. (`max` would be exact either way; the mean is the
-//!   reason.)
+//! * **Exact maxima, pure means.** The max component is maintained by
+//!   the complete-linkage Lance–Williams update `max(A∪B, C) =
+//!   max(max(A, C), max(B, C))`. `f64::max` is exact and order-free, so
+//!   the maintained value has the same bits as a fresh max over the
+//!   merged member multiset (level-3 proxy sets may share vertices; the
+//!   max does not care), and a merge updates the survivor in O(m)
+//!   instead of re-reading every member pair. The mean is never
+//!   accumulated: a Lance–Williams mean drifts by ulps depending on
+//!   merge order, which on tie-heavy inputs is enough to flip a
+//!   comparison and change the tree. Instead it is recomputed from the
+//!   two member sets in a canonical order (outer loop over the
+//!   smaller-min-member cluster, members ascending) — lazily, only where
+//!   a comparison's maxima tie or a merge event records it, and memoised
+//!   until either cluster merges again. Every comparison therefore sees
+//!   identical values across engines and thread counts. Between two
+//!   merges of its clusters a pair's mean is computed at most once per
+//!   scanning row (twice in a round where both rows tie on it), and
+//!   pairs whose maxima never tie never compute one.
 //! * **Canonical replay.** Engines discover merges in different orders,
 //!   so planned merges are renumbered before touching the [`Dendrogram`]:
 //!   repeatedly emit the *available* merge (both children already
@@ -344,8 +353,25 @@ fn cross_stats<D: PairDistances>(d: &D, a: (&[usize], usize), b: (&[usize], usiz
     (max, sum / (outer.len() * inner.len()) as f64)
 }
 
-/// Mutable state of one linkage run: active clusters and the pure pair
-/// statistics for every active pair.
+/// The complete-linkage distance of two clusters: the largest member-pair
+/// distance, i.e. the max component of [`cross_stats`] without the sum.
+fn cross_max<D: PairDistances>(d: &D, a: &[usize], b: &[usize]) -> f64 {
+    let mut max = 0.0_f64;
+    for &u in a {
+        for &v in b {
+            max = max.max(d.pair(u, v));
+        }
+    }
+    max
+}
+
+/// Average pair reads per row above which [`LinkState::init`] gives every
+/// row its own stealable leaf.
+const HEAVY_ROW_READS: usize = 1024;
+
+/// Mutable state of one linkage run: the active clusters, the exact
+/// complete-linkage distance of every active pair, and a memo of the
+/// canonical mean distances that comparisons have needed so far.
 struct LinkState {
     m: usize,
     members: Vec<Vec<usize>>,
@@ -354,85 +380,174 @@ struct LinkState {
     refid: Vec<usize>,
     active: Vec<bool>,
     remaining: usize,
+    /// Max cross distance of every active pair, kept exact on merge by
+    /// the Lance–Williams update.
     dist: Vec<f64>,
+    /// Memo of the canonical mean cross distance; an entry is valid only
+    /// while its `fresh` flag is set.
     mean: Vec<f64>,
+    /// Cleared for the survivor's row and column on every merge.
+    fresh: Vec<bool>,
+    /// Means computed to break a tie between two maxima.
+    #[cfg(test)]
+    tie_means: usize,
 }
 
 impl LinkState {
     fn init<D: PairDistances + Sync>(items: Vec<LinkItem>, d: &D) -> Self {
         let m = items.len();
         let mut dist = vec![f64::INFINITY; m * m];
-        let mut mean = vec![f64::INFINITY; m * m];
-        // Pair statistics for the upper triangle, rows in parallel.
-        let rows: Vec<Vec<(f64, f64)>> = {
+        // Maxima for the upper triangle, rows in parallel. Means are
+        // computed on demand. Rows averaging `HEAVY_ROW_READS` pair reads
+        // are declared heavy, so a short run such as the inter-group
+        // level still spreads over the pool; lighter runs keep the
+        // executor's inline gate (`usize::MAX` is no cap).
+        let points: usize = items.iter().map(|it| it.members.len()).sum();
+        let max_len = if points * points / (2 * m) >= HEAVY_ROW_READS {
+            1
+        } else {
+            usize::MAX
+        };
+        let rows: Vec<Vec<f64>> = {
             let items = &items;
             (0..m)
                 .into_par_iter()
+                .with_max_len(max_len)
                 .map(|i| {
                     ((i + 1)..m)
-                        .map(|j| {
-                            cross_stats(
-                                d,
-                                (&items[i].members, items[i].mm),
-                                (&items[j].members, items[j].mm),
-                            )
-                        })
+                        .map(|j| cross_max(d, &items[i].members, &items[j].members))
                         .collect()
                 })
                 .collect()
         };
         for (i, row) in rows.into_iter().enumerate() {
-            for (k, (dv, mv)) in row.into_iter().enumerate() {
+            for (k, dv) in row.into_iter().enumerate() {
                 let j = i + 1 + k;
                 dist[i * m + j] = dv;
                 dist[j * m + i] = dv;
-                mean[i * m + j] = mv;
-                mean[j * m + i] = mv;
             }
         }
+        let (members, mm) = items.into_iter().map(|it| (it.members, it.mm)).unzip();
         Self {
             m,
-            members: items.iter().map(|it| it.members.clone()).collect(),
-            mm: items.iter().map(|it| it.mm).collect(),
+            members,
+            mm,
             refid: (0..m).collect(),
             active: vec![true; m],
             remaining: m,
             dist,
-            mean,
+            mean: vec![f64::INFINITY; m * m],
+            fresh: vec![false; m * m],
+            #[cfg(test)]
+            tie_means: 0,
         }
+    }
+
+    /// The canonical mean cross distance of slots `i` and `j`, recomputed
+    /// from the member sets.
+    fn canonical_mean<D: PairDistances>(&self, i: usize, j: usize, d: &D) -> f64 {
+        let (max, mean) = cross_stats(
+            d,
+            (&self.members[i], self.mm[i]),
+            (&self.members[j], self.mm[j]),
+        );
+        debug_assert_eq!(
+            max.to_bits(),
+            self.dist[i * self.m + j].to_bits(),
+            "the Lance–Williams max must equal the pure max"
+        );
+        mean
     }
 
     /// The unique nearest neighbor of active slot `i` under the strict
     /// order `K`. For a fixed row, ordering partners by `(dist, mean,
-    /// partner min-member)` is equivalent to ordering the full keys.
-    fn nearest(&self, i: usize) -> usize {
+    /// partner min-member)` is equivalent to ordering the full keys. A
+    /// mean is only needed where two maxima tie; each one missing from
+    /// the memo is computed here and pushed onto `computed` as
+    /// `(partner, mean)` for [`LinkState::memoise`].
+    fn nearest<D: PairDistances>(
+        &self,
+        i: usize,
+        d: &D,
+        computed: &mut Vec<(usize, f64)>,
+    ) -> usize {
+        let row = i * self.m;
+        let mut mean_of = |j: usize| {
+            if self.fresh[row + j] {
+                self.mean[row + j]
+            } else {
+                let mean = self.canonical_mean(i, j, d);
+                computed.push((j, mean));
+                mean
+            }
+        };
+        // The scan starts from the sentinel key (∞, ∞); the best
+        // partner's mean stays unknown until a tie needs it.
         let mut best = usize::MAX;
-        let mut best_key = (f64::INFINITY, f64::INFINITY);
+        let mut best_dist = f64::INFINITY;
+        let mut best_mean = Some(f64::INFINITY);
         for j in 0..self.m {
             if !self.active[j] || j == i {
                 continue;
             }
-            let key = (self.dist[i * self.m + j], self.mean[i * self.m + j]);
-            let ordering = key
-                .0
-                .total_cmp(&best_key.0)
-                .then_with(|| key.1.total_cmp(&best_key.1));
+            let dist = self.dist[row + j];
+            let mut mean = None;
+            let ordering = match dist.total_cmp(&best_dist) {
+                std::cmp::Ordering::Equal => {
+                    let known = match best_mean {
+                        Some(known) => known,
+                        None => *best_mean.insert(mean_of(best)),
+                    };
+                    let x = mean_of(j);
+                    mean = Some(x);
+                    x.total_cmp(&known)
+                }
+                ordering => ordering,
+            };
             if ordering.is_lt()
                 || (ordering.is_eq() && (best == usize::MAX || self.mm[j] < self.mm[best]))
             {
                 best = j;
-                best_key = key;
+                best_dist = dist;
+                best_mean = mean;
             }
         }
         best
     }
 
+    /// Stores the means [`LinkState::nearest`] computed for row `i`.
+    fn memoise(&mut self, i: usize, computed: &[(usize, f64)]) {
+        let m = self.m;
+        for &(j, mean) in computed {
+            self.mean[i * m + j] = mean;
+            self.mean[j * m + i] = mean;
+            self.fresh[i * m + j] = true;
+            self.fresh[j * m + i] = true;
+        }
+        #[cfg(test)]
+        {
+            self.tie_means += computed.len();
+        }
+    }
+
     /// Merges slots `x` and `y`, records the event, and returns the
-    /// surviving slot. Pair statistics of the survivor are NOT updated;
-    /// callers recompute them (sequentially or in parallel) afterwards.
-    fn apply_merge(&mut self, x: usize, y: usize, events: &mut Vec<PlanEvent>) -> usize {
+    /// surviving slot. The survivor's maxima are updated in O(m) by
+    /// Lance–Williams; its memoised means go stale.
+    fn apply_merge<D: PairDistances>(
+        &mut self,
+        x: usize,
+        y: usize,
+        d: &D,
+        events: &mut Vec<PlanEvent>,
+    ) -> usize {
+        let m = self.m;
         let (s, o) = (x.min(y), x.max(y));
-        let (dist, mean) = (self.dist[s * self.m + o], self.mean[s * self.m + o]);
+        let dist = self.dist[s * m + o];
+        let mean = if self.fresh[s * m + o] {
+            self.mean[s * m + o]
+        } else {
+            self.canonical_mean(s, o, d)
+        };
         // The canonical child order (left = smaller min member) is fixed
         // here; canonicalization only reorders whole events.
         let (left, right) = if self.mm[s] < self.mm[o] {
@@ -440,13 +555,26 @@ impl LinkState {
         } else {
             (self.refid[o], self.refid[s])
         };
-        self.refid[s] = self.m + events.len();
+        self.refid[s] = m + events.len();
         events.push(PlanEvent {
             left,
             right,
             dist,
             mean,
         });
+        // Complete linkage's Lance–Williams update: the merged cluster's
+        // max to any partner is the larger of the children's. `f64::max`
+        // is exact, so this is bitwise the max over the merged members.
+        for j in 0..m {
+            if !self.active[j] || j == s || j == o {
+                continue;
+            }
+            let dv = self.dist[s * m + j].max(self.dist[o * m + j]);
+            self.dist[s * m + j] = dv;
+            self.dist[j * m + s] = dv;
+            self.fresh[s * m + j] = false;
+            self.fresh[j * m + s] = false;
+        }
         let other = std::mem::take(&mut self.members[o]);
         let mut merged = Vec::with_capacity(self.members[s].len() + other.len());
         {
@@ -470,25 +598,6 @@ impl LinkState {
         self.active[o] = false;
         self.remaining -= 1;
         s
-    }
-
-    /// Recomputes the pure pair statistics between `s` and every active
-    /// partner, sequentially.
-    fn refresh_row<D: PairDistances>(&mut self, s: usize, d: &D) {
-        for j in 0..self.m {
-            if !self.active[j] || j == s {
-                continue;
-            }
-            let (dv, mv) = cross_stats(
-                d,
-                (&self.members[s], self.mm[s]),
-                (&self.members[j], self.mm[j]),
-            );
-            self.dist[s * self.m + j] = dv;
-            self.dist[j * self.m + s] = dv;
-            self.mean[s * self.m + j] = mv;
-            self.mean[j * self.m + s] = mv;
-        }
     }
 }
 
@@ -514,9 +623,11 @@ fn plan_linkage<D: PairDistances + Sync>(
 }
 
 /// The mutual-NN round engine: every round scans all active rows for
-/// nearest neighbors in parallel, merges every mutually-nearest pair, and
-/// refreshes the merged rows in parallel. Progress is guaranteed because
-/// the globally `K`-minimal pair is always mutual.
+/// nearest neighbors in parallel, then merges every mutually-nearest pair.
+/// A merge updates the survivor's maxima by Lance–Williams in O(m); the
+/// means the scans need are pure, computed lazily and memoised, so no
+/// merge re-reads member pairs. Progress is guaranteed because the
+/// globally `K`-minimal pair is always mutual.
 fn plan_rounds<D: PairDistances + Sync>(
     state: &mut LinkState,
     d: &D,
@@ -526,13 +637,22 @@ fn plan_rounds<D: PairDistances + Sync>(
     let mut events = Vec::with_capacity(m - 1);
     while state.remaining > 1 {
         let slots: Vec<usize> = (0..m).filter(|&i| state.active[i]).collect();
-        let nn: Vec<usize> = {
+        let found: Vec<(usize, Vec<(usize, f64)>)> = {
             let state = &*state;
-            slots.par_iter().map(|&i| state.nearest(i)).collect()
+            slots
+                .par_iter()
+                .map(|&i| {
+                    let mut computed = Vec::new();
+                    (state.nearest(i, d, &mut computed), computed)
+                })
+                .collect()
         };
+        // Memoise before merging: the merges below mark every entry of a
+        // survivor stale again.
         let mut nn_of = vec![usize::MAX; m];
-        for (k, &i) in slots.iter().enumerate() {
-            nn_of[i] = nn[k];
+        for (&i, (j, computed)) in slots.iter().zip(&found) {
+            nn_of[i] = *j;
+            state.memoise(i, computed);
         }
         let pairs: Vec<(usize, usize)> = slots
             .iter()
@@ -544,40 +664,8 @@ fn plan_rounds<D: PairDistances + Sync>(
             .map(|i| (i, nn_of[i]))
             .collect();
         assert!(!pairs.is_empty(), "the K-minimal pair is always mutual");
-        let survivors: Vec<usize> = pairs
-            .iter()
-            .map(|&(x, y)| state.apply_merge(x, y, &mut events))
-            .collect();
-        // Refresh all merged rows at once, survivors in parallel: every
-        // entry is a pure function of the (final) member sets, so the
-        // write order is irrelevant and survivor–survivor pairs simply
-        // get written twice with the same bits.
-        let updates: Vec<Vec<(usize, f64, f64)>> = {
-            let state = &*state;
-            survivors
-                .par_iter()
-                .map(|&s| {
-                    (0..m)
-                        .filter(|&j| state.active[j] && j != s)
-                        .map(|j| {
-                            let (dv, mv) = cross_stats(
-                                d,
-                                (&state.members[s], state.mm[s]),
-                                (&state.members[j], state.mm[j]),
-                            );
-                            (j, dv, mv)
-                        })
-                        .collect()
-                })
-                .collect()
-        };
-        for (&s, row) in survivors.iter().zip(&updates) {
-            for &(j, dv, mv) in row {
-                state.dist[s * m + j] = dv;
-                state.dist[j * m + s] = dv;
-                state.mean[s * m + j] = mv;
-                state.mean[j * m + s] = mv;
-            }
+        for &(x, y) in &pairs {
+            state.apply_merge(x, y, d, &mut events);
         }
         stats.record_round(pairs.len());
     }
@@ -596,6 +684,7 @@ fn plan_nn_chain<D: PairDistances + Sync>(
     let m = state.m;
     let mut events = Vec::with_capacity(m - 1);
     let mut chain: Vec<usize> = Vec::new();
+    let mut computed = Vec::new();
     while state.remaining > 1 {
         if chain.is_empty() {
             let start = (0..m)
@@ -605,7 +694,9 @@ fn plan_nn_chain<D: PairDistances + Sync>(
             chain.push(start);
         }
         let current = *chain.last().expect("chain non-empty");
-        let nearest = state.nearest(current);
+        let nearest = state.nearest(current, d, &mut computed);
+        state.memoise(current, &computed);
+        computed.clear();
         let prev = if chain.len() >= 2 {
             Some(chain[chain.len() - 2])
         } else {
@@ -614,8 +705,7 @@ fn plan_nn_chain<D: PairDistances + Sync>(
         if Some(nearest) == prev {
             chain.pop();
             chain.pop();
-            let survivor = state.apply_merge(current, nearest, &mut events);
-            state.refresh_row(survivor, d);
+            state.apply_merge(current, nearest, d, &mut events);
             stats.record_round(1);
         } else {
             chain.push(nearest);
@@ -1008,5 +1098,222 @@ mod tests {
         assert_eq!(rounds, chain);
         // Every round's merges bound: mutual pairs are disjoint.
         assert!(s1.max_round_merges <= m / 2);
+    }
+
+    /// The pure-recompute reference the incremental state replaced: every
+    /// round recomputes [`cross_stats`] for every active pair from the
+    /// member sets, then merges every mutually-nearest pair under `K`.
+    fn plan_reference<D: PairDistances>(items: Vec<LinkItem>, d: &D) -> (Vec<PlanEvent>, HacStats) {
+        let m = items.len();
+        let item_mm: Vec<usize> = items.iter().map(|it| it.mm).collect();
+        let mut members: Vec<Vec<usize>> = items.into_iter().map(|it| it.members).collect();
+        let mut mm = item_mm.clone();
+        let mut refid: Vec<usize> = (0..m).collect();
+        let mut active = vec![true; m];
+        let mut events = Vec::new();
+        let mut stats = HacStats::default();
+        while active.iter().filter(|&&a| a).count() > 1 {
+            let slots: Vec<usize> = (0..m).filter(|&i| active[i]).collect();
+            let key =
+                |i: usize, j: usize| cross_stats(d, (&members[i], mm[i]), (&members[j], mm[j]));
+            let mut nn_of = vec![usize::MAX; m];
+            for &i in &slots {
+                nn_of[i] = slots
+                    .iter()
+                    .copied()
+                    .filter(|&j| j != i)
+                    .min_by(|&a, &b| {
+                        let (ka, kb) = (key(i, a), key(i, b));
+                        ka.0.total_cmp(&kb.0)
+                            .then(ka.1.total_cmp(&kb.1))
+                            .then(mm[a].cmp(&mm[b]))
+                    })
+                    .expect("two active clusters");
+            }
+            let merges: Vec<(usize, usize, (f64, f64))> = slots
+                .iter()
+                .copied()
+                .filter(|&i| i < nn_of[i] && nn_of[nn_of[i]] == i)
+                .map(|i| (i, nn_of[i], key(i, nn_of[i])))
+                .collect();
+            for &(s, o, (dist, mean)) in &merges {
+                let (left, right) = if mm[s] < mm[o] {
+                    (refid[s], refid[o])
+                } else {
+                    (refid[o], refid[s])
+                };
+                events.push(PlanEvent {
+                    left,
+                    right,
+                    dist,
+                    mean,
+                });
+                refid[s] = m + events.len() - 1;
+                let other = std::mem::take(&mut members[o]);
+                members[s].extend(other);
+                members[s].sort_unstable();
+                mm[s] = mm[s].min(mm[o]);
+                active[o] = false;
+            }
+            stats.record_round(merges.len());
+        }
+        (canonicalize(m, &item_mm, events), stats)
+    }
+
+    /// [`plan_linkage`], also returning how many means the engine
+    /// computed to break a tie between two maxima.
+    fn plan_counting<D: PairDistances + Sync>(
+        items: Vec<LinkItem>,
+        d: &D,
+        backend: HacBackend,
+    ) -> (Vec<PlanEvent>, HacStats, usize) {
+        let m = items.len();
+        let item_mm: Vec<usize> = items.iter().map(|it| it.mm).collect();
+        let mut stats = HacStats::default();
+        let mut state = LinkState::init(items, d);
+        let events = match backend {
+            HacBackend::ParallelRounds => plan_rounds(&mut state, d, &mut stats),
+            HacBackend::NnChain => plan_nn_chain(&mut state, d, &mut stats),
+        };
+        (canonicalize(m, &item_mm, events), stats, state.tie_means)
+    }
+
+    fn event_bits(events: &[PlanEvent]) -> Vec<(usize, usize, u64, u64)> {
+        events
+            .iter()
+            .map(|e| (e.left, e.right, e.dist.to_bits(), e.mean.to_bits()))
+            .collect()
+    }
+
+    /// Asserts that both engines plan bit-identical events to
+    /// [`plan_reference`] (the round engine also the same rounds) and
+    /// returns the tie means each engine computed.
+    fn assert_engines_match_reference<D: PairDistances + Sync>(
+        items: &[LinkItem],
+        d: &D,
+        ctx: &str,
+    ) -> [usize; 2] {
+        let (reference, reference_stats) = plan_reference(items.to_vec(), d);
+        let (rounds, rounds_stats, rounds_ties) =
+            plan_counting(items.to_vec(), d, HacBackend::ParallelRounds);
+        let (chain, chain_stats, chain_ties) =
+            plan_counting(items.to_vec(), d, HacBackend::NnChain);
+        assert_eq!(event_bits(&rounds), event_bits(&reference), "{ctx}: rounds");
+        assert_eq!(rounds_stats, reference_stats, "{ctx}: round schedule");
+        assert_eq!(event_bits(&chain), event_bits(&reference), "{ctx}: chain");
+        assert_eq!(chain_stats.merges, reference_stats.merges, "{ctx}");
+        [rounds_ties, chain_ties]
+    }
+
+    /// Symmetric distances with a zero diagonal: uniform in `[0.1, 2)`, or
+    /// quantised to `{1, 2, 3}` so that maxima tie often.
+    fn random_distances(n: usize, quantised: bool, rng: &mut StdRng) -> SymmetricMatrix {
+        SymmetricMatrix::from_fn(n, |i, j| {
+            if i == j {
+                0.0
+            } else if quantised {
+                rng.gen_range(1_usize..4) as f64
+            } else {
+                rng.gen_range(0.1..2.0)
+            }
+        })
+    }
+
+    /// `0..n` in random order.
+    fn permutation(n: usize, rng: &mut StdRng) -> Vec<usize> {
+        let mut p: Vec<usize> = (0..n).collect();
+        for i in (1..n).rev() {
+            p.swap(i, rng.gen_range(0..=i));
+        }
+        p
+    }
+
+    /// A random partition of `0..points` into `m` clusters, as at levels 1
+    /// and 2 (`m == points` gives singletons).
+    fn partition_items(points: usize, m: usize, rng: &mut StdRng) -> Vec<LinkItem> {
+        let order = permutation(points, rng);
+        let mut members = vec![Vec::new(); m];
+        for (k, &v) in order.iter().enumerate() {
+            let slot = if k < m { k } else { rng.gen_range(0..m) };
+            members[slot].push(v);
+        }
+        members
+            .into_iter()
+            .map(|mut members| {
+                members.sort_unstable();
+                LinkItem {
+                    mm: members[0],
+                    members,
+                }
+            })
+            .collect()
+    }
+
+    /// Level-3-like items: each a random proxy set that may share
+    /// vertices with other items, tie-broken by a unique shuffled `mm`.
+    fn overlapping_items(points: usize, m: usize, rng: &mut StdRng) -> Vec<LinkItem> {
+        permutation(m, rng)
+            .into_iter()
+            .map(|mm| {
+                let mut members: Vec<usize> = (0..rng.gen_range(1_usize..5))
+                    .map(|_| rng.gen_range(0..points))
+                    .collect();
+                members.sort_unstable();
+                members.dedup();
+                LinkItem { members, mm }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn engines_match_pure_recompute_oracle_on_random_inputs() {
+        for seed in 0..8 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let d = random_distances(48, false, &mut rng);
+            for m in [48, 16] {
+                let items = partition_items(48, m, &mut rng);
+                let ties =
+                    assert_engines_match_reference(&items, &d, &format!("seed {seed} m {m}"));
+                // Disjoint clusters over distinct distances never tie on
+                // the max, so no comparison computes a mean.
+                assert_eq!(ties, [0, 0], "seed {seed} m {m}");
+            }
+        }
+    }
+
+    #[test]
+    fn engines_match_pure_recompute_oracle_on_tie_heavy_inputs() {
+        let mut ties = [0; 2];
+        for seed in 0..8 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let d = random_distances(40, true, &mut rng);
+            for m in [40, 12] {
+                let items = partition_items(40, m, &mut rng);
+                let found =
+                    assert_engines_match_reference(&items, &d, &format!("seed {seed} m {m}"));
+                ties[0] += found[0];
+                ties[1] += found[1];
+            }
+        }
+        assert!(
+            ties[0] > 0 && ties[1] > 0,
+            "lazy means never computed: {ties:?}"
+        );
+    }
+
+    #[test]
+    fn engines_match_pure_recompute_oracle_on_overlapping_members() {
+        for seed in 0..8 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            for quantised in [false, true] {
+                let d = random_distances(30, quantised, &mut rng);
+                let items = overlapping_items(30, 18, &mut rng);
+                assert_engines_match_reference(
+                    &items,
+                    &d,
+                    &format!("seed {seed} quantised {quantised}"),
+                );
+            }
+        }
     }
 }

@@ -143,7 +143,9 @@ impl Dbht {
 ///
 /// # Errors
 /// Returns [`CoreError::DimensionMismatch`] if the dissimilarity matrix
-/// size differs from the graph's vertex count.
+/// size differs from the graph's vertex count, and
+/// [`CoreError::InvalidDissimilarity`] if an edge's dissimilarity is NaN,
+/// ±Inf or negative.
 pub fn dbht_for_tmfg<D: PairDistances>(tmfg: &Tmfg, dissimilarity: &D) -> Result<Dbht, CoreError> {
     if dissimilarity.num_vertices() != tmfg.graph.num_vertices() {
         return Err(CoreError::DimensionMismatch {
@@ -160,8 +162,10 @@ pub fn dbht_for_tmfg<D: PairDistances>(tmfg: &Tmfg, dissimilarity: &D) -> Result
 ///
 /// # Errors
 /// Returns [`CoreError::DimensionMismatch`] if the dissimilarity matrix
-/// size differs from the graph's vertex count, and
-/// [`CoreError::TooFewVertices`] if the graph has fewer than 4 vertices.
+/// size differs from the graph's vertex count,
+/// [`CoreError::TooFewVertices`] if the graph has fewer than 4 vertices,
+/// and [`CoreError::InvalidDissimilarity`] if an edge's dissimilarity is
+/// NaN, ±Inf or negative.
 pub fn dbht_for_planar_graph<D: PairDistances>(
     graph: &WeightedGraph,
     dissimilarity: &D,
@@ -193,6 +197,22 @@ pub fn dissimilarity_graph<D: PairDistances>(
         dgraph.add_edge(u, v, dissimilarity.pair(u, v));
     }
     dgraph
+}
+
+/// Checks that every edge of a dissimilarity-weighted graph (see
+/// [`dissimilarity_graph`]) has a finite, non-negative length.
+///
+/// # Errors
+/// Returns [`CoreError::InvalidDissimilarity`] naming the first offending
+/// edge in [`WeightedGraph::edges`] order.
+pub(crate) fn check_edge_lengths(dgraph: &WeightedGraph) -> Result<(), CoreError> {
+    match dgraph
+        .edges()
+        .find(|&(_, _, w)| !(w.is_finite() && w >= 0.0))
+    {
+        Some((u, v, _)) => Err(CoreError::InvalidDissimilarity { u, v }),
+        None => Ok(()),
+    }
 }
 
 /// The sorted union of the converging bubbles' vertices: the source set
@@ -228,6 +248,7 @@ fn run_dbht<D: PairDistances>(
     dissimilarity: &D,
 ) -> Result<Dbht, CoreError> {
     let dgraph = dissimilarity_graph(graph, dissimilarity);
+    check_edge_lengths(&dgraph)?;
 
     // Full rows for the converging-bubble vertices — every distance the
     // assignment phase reads is anchored at one of them.
@@ -251,4 +272,67 @@ fn run_dbht<D: PairDistances>(
         assignment,
         stats: DbhtRunStats::of(hac_stats, apsp_stats),
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::tmfg::{tmfg, TmfgConfig};
+    use pfg_graph::SymmetricMatrix;
+
+    /// A 24-vertex TMFG and the dissimilarity of its similarity matrix.
+    fn tmfg_and_dissimilarity() -> (Tmfg, SymmetricMatrix) {
+        let s = SymmetricMatrix::from_fn(24, |i, j| {
+            if i == j {
+                1.0
+            } else {
+                0.1 + 0.7 * ((i % 3 == j % 3) as u8 as f64) + 0.001 * ((i * 7 + j * 7) % 13) as f64
+            }
+        });
+        let t = tmfg(&s, TmfgConfig::with_prefix(1)).unwrap();
+        (t, s.map(|p| (2.0 * (1.0 - p)).sqrt()))
+    }
+
+    /// `d` with the entry `(u, v)` replaced by `value`.
+    fn poisoned(d: &SymmetricMatrix, (u, v): (usize, usize), value: f64) -> SymmetricMatrix {
+        SymmetricMatrix::from_fn(d.n(), |i, j| {
+            if (i.min(j), i.max(j)) == (u, v) {
+                value
+            } else {
+                d.get(i, j)
+            }
+        })
+    }
+
+    const BAD: [f64; 4] = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.5];
+
+    #[test]
+    fn bad_edge_lengths_are_rejected_by_both_entry_points() {
+        let (t, d) = tmfg_and_dissimilarity();
+        let (u, v, _) = t.graph.edges().nth(5).unwrap();
+        for bad in BAD {
+            let d = poisoned(&d, (u, v), bad);
+            let expected = Err(CoreError::InvalidDissimilarity { u, v });
+            assert_eq!(dbht_for_tmfg(&t, &d).map(|_| ()), expected, "{bad}");
+            assert_eq!(
+                dbht_for_planar_graph(&t.graph, &d).map(|_| ()),
+                expected,
+                "{bad}"
+            );
+        }
+    }
+
+    #[test]
+    fn bad_entries_off_the_graph_are_never_read() {
+        let (t, d) = tmfg_and_dissimilarity();
+        let n = t.graph.num_vertices();
+        let off = (0..n)
+            .flat_map(|u| ((u + 1)..n).map(move |v| (u, v)))
+            .find(|&(u, v)| !t.graph.has_edge(u, v))
+            .unwrap();
+        for bad in BAD {
+            let d = poisoned(&d, off, bad);
+            assert!(dbht_for_tmfg(&t, &d).is_ok(), "{bad}");
+        }
+    }
 }

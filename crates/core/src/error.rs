@@ -33,6 +33,16 @@ pub enum CoreError {
         /// Column of the offending entry.
         col: usize,
     },
+    /// A filtered-graph edge has a NaN, ±Inf or negative dissimilarity.
+    /// The shortest-path computations need finite non-negative edge
+    /// lengths (Dijkstra's precondition). A matrix computed as
+    /// `√(2(1−s))` from a similarity above 1 holds NaN and lands here.
+    InvalidDissimilarity {
+        /// Smaller endpoint of the offending edge.
+        u: usize,
+        /// Larger endpoint of the offending edge.
+        v: usize,
+    },
 }
 
 impl fmt::Display for CoreError {
@@ -56,6 +66,10 @@ impl fmt::Display for CoreError {
             CoreError::NonFiniteSimilarity { row, col } => {
                 write!(f, "similarity matrix entry ({row}, {col}) is not finite")
             }
+            CoreError::InvalidDissimilarity { u, v } => write!(
+                f,
+                "dissimilarity of edge ({u}, {v}) is not a finite non-negative number"
+            ),
         }
     }
 }
@@ -77,5 +91,7 @@ mod tests {
         assert!(e.to_string().contains("5x5"));
         assert!(CoreError::InvalidPrefix.to_string().contains("prefix"));
         assert!(CoreError::InvalidBatch.to_string().contains("batch"));
+        let e = CoreError::InvalidDissimilarity { u: 2, v: 7 };
+        assert!(e.to_string().contains("(2, 7)"));
     }
 }

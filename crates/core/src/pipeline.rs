@@ -119,7 +119,8 @@ impl ParTdbht {
     ///
     /// # Errors
     /// Propagates [`CoreError`] for inputs that are too small, mismatched
-    /// matrix sizes, or an invalid prefix.
+    /// matrix sizes, an invalid prefix, or a filtered-graph edge whose
+    /// dissimilarity is NaN, ±Inf or negative.
     pub fn run(
         &self,
         similarity: &SymmetricMatrix,
@@ -146,7 +147,8 @@ impl ParTdbht {
     ///
     /// # Errors
     /// Propagates [`CoreError`] for inputs that are too small, mismatched
-    /// matrix sizes, or an invalid prefix.
+    /// matrix sizes, an invalid prefix, or a filtered-graph edge whose
+    /// dissimilarity is NaN, ±Inf or negative.
     pub fn run_with<S: SimilaritySource, D: PairDistances>(
         &self,
         similarity: &S,
@@ -174,6 +176,7 @@ impl ParTdbht {
         // converging-bubble vertices over the dissimilarity-weighted TMFG.
         let start = Instant::now();
         let dgraph = crate::dbht::dissimilarity_graph(&tmfg_result.graph, dissimilarity);
+        crate::dbht::check_edge_lengths(&dgraph)?;
         let rows = SourceRows::compute(&dgraph, &converging_vertices(&bubble_graph));
         let mut apsp_time = start.elapsed();
 
@@ -383,6 +386,25 @@ mod tests {
                 agreement > floor && agreement > seq_agreement - band,
                 "prefix {prefix} mean agreement {agreement} vs sequential {seq_agreement}"
             );
+        }
+    }
+
+    #[test]
+    fn bad_edge_lengths_are_a_typed_error() {
+        let (s, d, _) = blocks(40, 4, 1);
+        let config = ParTdbhtConfig::with_prefix(10);
+        let t = tmfg(&s, config.tmfg).unwrap();
+        let (u, v, _) = t.graph.edges().nth(17).unwrap();
+        for bad in [f64::NAN, f64::INFINITY, -1.0] {
+            let d = SymmetricMatrix::from_fn(40, |i, j| {
+                if (i.min(j), i.max(j)) == (u, v) {
+                    bad
+                } else {
+                    d.get(i, j)
+                }
+            });
+            let err = ParTdbht::new(config).run(&s, &d).map(|_| ()).unwrap_err();
+            assert_eq!(err, CoreError::InvalidDissimilarity { u, v }, "{bad}");
         }
     }
 

@@ -1226,12 +1226,15 @@ mod tests {
         // strict total order).
         //
         // n is chosen so the parallel path actually dispatches: the shim
-        // runs pipelines under 512 items inline, and select_batch iterates
-        // every tracked face id (4 + 3·(n − 4)), so n = 300 pushes the
-        // candidate-gathering pipeline well past the threshold in the
-        // later rounds. With n = 60 both runs would execute the identical
-        // inline code path and the comparison would be vacuous.
-        let n = 300;
+        // runs pipelines under 512 items inline. The pipelines that see n
+        // items are the input scans over all rows — the non-finite check
+        // and the row sums that pick the initial clique — so n = 512 is
+        // the smallest size at which they split across workers. The
+        // per-round child scans and bound rescans hold at most `prefix`
+        // items and stay inline at any n. Below 512 both runs would
+        // execute the identical inline code and the comparison would be
+        // vacuous.
+        let n = 512;
         let s = random_similarity(n, 13);
         for freshness in [BatchFreshness::IntraRound, BatchFreshness::Simultaneous] {
             for prefix in [1, 10, 50] {
