@@ -51,7 +51,14 @@ fn bench_dbht_stages(c: &mut Criterion) {
         b.iter(|| black_box(assignment::assign_vertices(&t.graph, &directed, &rows)))
     });
     group.bench_function("hierarchy", |b| {
-        b.iter(|| black_box(hierarchy::build_hierarchy(&directed, &assigned, &distances)))
+        b.iter(|| {
+            black_box(hierarchy::build_hierarchy_with(
+                &directed,
+                &assigned,
+                &distances,
+                HacBackend::ParallelRounds,
+            ))
+        })
     });
     group.bench_function("hierarchy_nnchain", |b| {
         b.iter(|| {

@@ -22,7 +22,7 @@ fn main() {
         0.8, 0.4, 0.4, 0.8, 1.0, 0.8, //
         0.4, 0.0, 0.42, 0.8, 0.8, 1.0,
     ];
-    let s = SymmetricMatrix::from_rows(6, rows);
+    let s = SymmetricMatrix::from_rows(6, rows).expect("symmetric matrix");
     let d = s.map(|p| (2.0 * (1.0 - p)).sqrt());
     let truth = vec![0usize, 0, 0, 1, 1, 1];
     println!("# Appendix example (Figure 12/13)");

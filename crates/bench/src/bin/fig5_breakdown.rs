@@ -7,10 +7,14 @@
 //! regressions to the exact pass. Each row also reports the restricted
 //! APSP's output fraction (computed pairs / n²) as a `Record` value.
 //!
+//! The stages are timed by [`pfg_bench::breakdown::timed_par_tdbht`], which
+//! calls the public layer functions in pipeline order; the library itself
+//! reads no clock.
+//!
 //! Usage: `cargo run --release -p pfg-bench --bin fig5_breakdown [scale]`
 
+use pfg_bench::breakdown::timed_par_tdbht;
 use pfg_bench::{parse_scale_from_args, BenchDataset, Record, SuiteConfig};
-use pfg_core::ParTdbht;
 use pfg_data::ucr_catalogue;
 
 fn run(threads: usize, dataset: &BenchDataset) {
@@ -24,13 +28,12 @@ fn run(threads: usize, dataset: &BenchDataset) {
         .build()
         .expect("thread pool");
     for prefix in [1usize, 2, 5, 10, 30, 50, 200] {
-        let result = pool.install(|| {
-            ParTdbht::with_prefix(prefix)
-                .run(&dataset.correlation, &dataset.dissimilarity)
+        let (result, t) = pool.install(|| {
+            timed_par_tdbht(&dataset.correlation, &dataset.dissimilarity, prefix)
                 .expect("valid matrices")
         });
-        let t = result.timings;
-        let stats = result.dbht_stats;
+        let apsp_frac = result.apsp.restricted_fraction();
+        let suffix = format!(",hac_rounds={},apsp_frac={apsp_frac:.4}", result.hac.rounds);
         println!(
             "{:>8} {:>9.3} {:>9.3} {:>9.3} {:>9.3} {:>9.3} {:>9.3} {:>10.3}",
             prefix,
@@ -40,7 +43,7 @@ fn run(threads: usize, dataset: &BenchDataset) {
             t.assignment.as_secs_f64(),
             t.hierarchy.as_secs_f64(),
             t.total().as_secs_f64(),
-            stats.restricted_fraction()
+            apsp_frac
         );
         for (stage, secs) in [
             ("tmfg", t.tmfg.as_secs_f64()),
@@ -53,10 +56,10 @@ fn run(threads: usize, dataset: &BenchDataset) {
                 experiment: "fig5".into(),
                 dataset: dataset.name.clone(),
                 method: format!("PAR-TDBHT-{prefix}"),
-                params: format!("threads={threads},stage={stage}{}", stats.params_suffix()),
+                params: format!("threads={threads},stage={stage}{suffix}"),
                 seconds: secs,
                 ari: None,
-                value: Some(stats.restricted_fraction()),
+                value: Some(apsp_frac),
             }
             .emit();
         }

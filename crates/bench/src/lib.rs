@@ -6,13 +6,12 @@
 //! a configurable scale, running every clustering method under a common
 //! interface, timing, and tabular/JSON output.
 
+pub mod breakdown;
 pub mod methods;
 pub mod records;
 pub mod suite;
 
-pub use methods::{
-    run_method, CorrelationRunStats, Method, MethodOutput, PmfgRunStats, TmfgRunStats,
-};
+pub use methods::{run_method, Method, MethodOutput, PmfgRunStats, TmfgRunStats};
 pub use suite::{build_suite, parse_scale_from_args, BenchDataset, SuiteConfig};
 
 use std::time::Duration;

@@ -5,7 +5,7 @@ use std::time::{Duration, Instant};
 use pfg_baselines::kmeans::Seeding;
 use pfg_baselines::{hac, kmeans, spectral_embedding, KMeansConfig, Linkage, SpectralConfig};
 use pfg_core::dbht::{dbht_for_planar_graph, dbht_for_tmfg};
-use pfg_core::{pmfg, tmfg, DbhtRunStats, ParTdbht, TmfgConfig};
+use pfg_core::{pmfg, tmfg, DbhtDistanceStats, HacStats, ParTdbht, TmfgConfig};
 use pfg_data::CorrelationKernelStats;
 use pfg_metrics::adjusted_rand_index;
 
@@ -131,55 +131,6 @@ impl PmfgRunStats {
     }
 }
 
-/// Input-layer statistics of one method run: the tiled correlation
-/// kernel's counters, shared by every method reading the data set's
-/// matrices. Mirrors [`PmfgRunStats`] / [`DbhtRunStats`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CorrelationRunStats {
-    /// Matrix dimension (number of series).
-    pub n: usize,
-    /// Upper-triangle tile pairs the kernel computed.
-    pub tiles_computed: usize,
-    /// Peak intermediate allocation of the kernel in bytes (the flat
-    /// z-profile buffer; the old path peaked at ≥ 2 n² output + `Vec<Vec>`
-    /// rows).
-    pub peak_intermediate_bytes: usize,
-    /// Bytes of matrix output the kernel wrote.
-    pub output_bytes: usize,
-}
-
-impl CorrelationRunStats {
-    /// Copies the data set's kernel counters.
-    pub fn of(kernel: &CorrelationKernelStats) -> Self {
-        Self {
-            n: kernel.n,
-            tiles_computed: kernel.tiles_computed,
-            peak_intermediate_bytes: kernel.peak_intermediate_bytes,
-            output_bytes: kernel.output_bytes,
-        }
-    }
-
-    /// Human-readable one-liner for the figure binaries' tables.
-    pub fn summary_line(&self) -> String {
-        format!(
-            "corr n={} tiles={} peak_mb={:.1} out_mb={:.1}",
-            self.n,
-            self.tiles_computed,
-            self.peak_intermediate_bytes as f64 / 1e6,
-            self.output_bytes as f64 / 1e6,
-        )
-    }
-
-    /// Suffix appended to a `Record`'s `params` field so the counters land
-    /// in the machine-readable output too.
-    pub fn params_suffix(&self) -> String {
-        format!(
-            ",tiles={},peak_bytes={}",
-            self.tiles_computed, self.peak_intermediate_bytes
-        )
-    }
-}
-
 /// The outcome of running one method on one data set.
 #[derive(Debug, Clone)]
 pub struct MethodOutput {
@@ -197,10 +148,10 @@ pub struct MethodOutput {
     pub pmfg_stats: Option<PmfgRunStats>,
     /// DBHT back-half counters (HAC rounds, restricted-APSP output), for
     /// the DBHT-based methods.
-    pub dbht_stats: Option<DbhtRunStats>,
+    pub dbht_stats: Option<(HacStats, DbhtDistanceStats)>,
     /// Input-layer counters of the tiled kernel, for
     /// methods that consume the data set's derived matrices.
-    pub correlation_stats: Option<CorrelationRunStats>,
+    pub correlation_stats: Option<CorrelationKernelStats>,
 }
 
 /// Runs `method` on `dataset`, cutting dendrograms to the ground-truth
@@ -221,7 +172,7 @@ pub fn run_method(method: Method, dataset: &BenchDataset) -> MethodOutput {
                 Some(result.tmfg.edge_weight_sum()),
                 Some(TmfgRunStats::of(&result.tmfg)),
                 None,
-                Some(result.dbht_stats),
+                Some((result.hac, result.apsp)),
                 true,
             )
         }
@@ -236,7 +187,7 @@ pub fn run_method(method: Method, dataset: &BenchDataset) -> MethodOutput {
                 Some(weight),
                 Some(stats),
                 None,
-                Some(dbht.stats),
+                Some((dbht.hac, dbht.apsp)),
                 true,
             )
         }
@@ -251,7 +202,7 @@ pub fn run_method(method: Method, dataset: &BenchDataset) -> MethodOutput {
                 Some(weight),
                 None,
                 Some(stats),
-                Some(dbht.stats),
+                Some((dbht.hac, dbht.apsp)),
                 true,
             )
         }
@@ -307,10 +258,7 @@ pub fn run_method(method: Method, dataset: &BenchDataset) -> MethodOutput {
     };
     let elapsed = start.elapsed();
     let ari = adjusted_rand_index(&dataset.labels, &labels);
-    let correlation_stats = match (matrix_run, &dataset.kernel_stats) {
-        (true, Some(kernel)) => Some(CorrelationRunStats::of(kernel)),
-        _ => None,
-    };
+    let correlation_stats = dataset.kernel_stats.filter(|_| matrix_run);
     MethodOutput {
         labels,
         elapsed,
@@ -364,14 +312,14 @@ mod tests {
                 Method::ParTdbht { .. } | Method::SeqTdbht | Method::PmfgDbht
             );
             if dbht_based {
-                let stats = output.dbht_stats.expect("DBHT methods report counters");
-                assert!(stats.hac_merges >= 1, "{}", method.name());
-                assert!(stats.hac_rounds >= 1, "{}", method.name());
+                let (hac, apsp) = output.dbht_stats.expect("DBHT methods report counters");
+                assert!(hac.merges >= 1, "{}", method.name());
+                assert!(hac.rounds >= 1, "{}", method.name());
                 assert!(
-                    (0.0..=1.0).contains(&stats.restricted_fraction()),
+                    (0.0..=1.0).contains(&apsp.restricted_fraction()),
                     "{}: fraction {}",
                     method.name(),
-                    stats.restricted_fraction()
+                    apsp.restricted_fraction()
                 );
             } else {
                 assert!(output.dbht_stats.is_none(), "{}", method.name());

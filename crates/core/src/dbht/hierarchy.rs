@@ -164,22 +164,6 @@ struct PlanEvent {
     mean: f64,
 }
 
-/// Builds the DBHT dendrogram from the vertex assignment using the
-/// default [`HacBackend::ParallelRounds`] engine.
-pub fn build_hierarchy<D: PairDistances + Sync>(
-    bubble_graph: &DirectedBubbleGraph,
-    assignment: &VertexAssignment,
-    distances: &D,
-) -> Dendrogram {
-    build_hierarchy_with(
-        bubble_graph,
-        assignment,
-        distances,
-        HacBackend::ParallelRounds,
-    )
-    .0
-}
-
 /// Per-group planning output: the canonical merge plans of the group's
 /// subgroups (level 1) and of the group itself (level 2).
 struct GroupPlan {

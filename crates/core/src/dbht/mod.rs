@@ -22,8 +22,9 @@
 //! — full Dijkstra rows for the converging-bubble vertices (which is all
 //! the assignment phase reads) plus dense intra-group blocks (which is all
 //! the hierarchy reads within groups) — cutting the distance output to
-//! `O(Σ group² + |conv|·n)`. [`DbhtRunStats`] reports how much of the
-//! dense matrix that actually was.
+//! `O(Σ group² + |conv|·n)`. Every run reports its layers' own counters:
+//! [`HacStats`] for the parallel HAC and [`DbhtDistanceStats`] for how much
+//! of the dense matrix the restricted store actually computed.
 //!
 //! [`planar_bubbles`] implements the original (quadratic) bubble
 //! decomposition of an arbitrary maximal planar graph, which is what the
@@ -46,71 +47,7 @@ use crate::tmfg::Tmfg;
 pub use assignment::VertexAssignment;
 pub use bubble_graph::DirectedBubbleGraph;
 pub use distances::{DbhtDistanceStats, DbhtDistances};
-pub use hierarchy::{build_hierarchy, build_hierarchy_with, HacBackend, HacStats};
-
-/// Per-stage counters of one DBHT run: how the parallel HAC progressed and
-/// how much of the dense APSP the restricted distance store replaced.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DbhtRunStats {
-    /// Merge rounds of the parallel HAC across all linkage runs.
-    pub hac_rounds: usize,
-    /// Total HAC merges (= internal dendrogram nodes).
-    pub hac_merges: usize,
-    /// Largest number of merges in a single HAC round.
-    pub hac_max_round_merges: usize,
-    /// Distance entries the restricted APSP materialised.
-    pub apsp_pairs_computed: usize,
-    /// Entries the dense APSP would have materialised (`n²`).
-    pub apsp_pairs_full: usize,
-    /// Converging-bubble vertices with a full Dijkstra row.
-    pub apsp_source_rows: usize,
-}
-
-impl DbhtRunStats {
-    /// Combines the HAC engine's counters with the distance-store stats.
-    pub fn of(hac: HacStats, apsp: DbhtDistanceStats) -> Self {
-        Self {
-            hac_rounds: hac.rounds,
-            hac_merges: hac.merges,
-            hac_max_round_merges: hac.max_round_merges,
-            apsp_pairs_computed: apsp.pairs_computed,
-            apsp_pairs_full: apsp.pairs_full,
-            apsp_source_rows: apsp.source_rows,
-        }
-    }
-
-    /// Fraction of the dense `n²` distance output actually computed.
-    pub fn restricted_fraction(&self) -> f64 {
-        if self.apsp_pairs_full == 0 {
-            0.0
-        } else {
-            self.apsp_pairs_computed as f64 / self.apsp_pairs_full as f64
-        }
-    }
-
-    /// Human-readable one-liner for the figure binaries' tables.
-    pub fn summary_line(&self) -> String {
-        format!(
-            "dbht rounds={} merges={} max_round={} apsp={}/{} ({:.3})",
-            self.hac_rounds,
-            self.hac_merges,
-            self.hac_max_round_merges,
-            self.apsp_pairs_computed,
-            self.apsp_pairs_full,
-            self.restricted_fraction()
-        )
-    }
-
-    /// Suffix appended to a `Record`'s `params` field so the counters land
-    /// in the machine-readable output too.
-    pub fn params_suffix(&self) -> String {
-        format!(
-            ",hac_rounds={},apsp_frac={:.4}",
-            self.hac_rounds,
-            self.restricted_fraction()
-        )
-    }
-}
+pub use hierarchy::{build_hierarchy_with, HacBackend, HacStats};
 
 /// The full DBHT output.
 #[derive(Debug, Clone)]
@@ -121,8 +58,10 @@ pub struct Dbht {
     pub bubble_graph: DirectedBubbleGraph,
     /// The per-vertex group (converging bubble) and bubble assignments.
     pub assignment: VertexAssignment,
-    /// HAC and restricted-APSP counters of this run.
-    pub stats: DbhtRunStats,
+    /// Counters of the parallel HAC across all linkage runs.
+    pub hac: HacStats,
+    /// How much of the dense `n²` APSP the restricted store computed.
+    pub apsp: DbhtDistanceStats,
 }
 
 impl Dbht {
@@ -258,9 +197,8 @@ fn run_dbht<D: PairDistances>(
     // Dense blocks for the now-known groups — every remaining hierarchy
     // read is either intra-group or between converging-bubble vertices.
     let distances = restricted_distances(&dgraph, rows, &assignment);
-    let apsp_stats = distances.stats();
 
-    let (dendrogram, hac_stats) = hierarchy::build_hierarchy_with(
+    let (dendrogram, hac) = hierarchy::build_hierarchy_with(
         &bubble_graph,
         &assignment,
         &distances,
@@ -270,7 +208,8 @@ fn run_dbht<D: PairDistances>(
         dendrogram,
         bubble_graph,
         assignment,
-        stats: DbhtRunStats::of(hac_stats, apsp_stats),
+        hac,
+        apsp: distances.stats(),
     })
 }
 

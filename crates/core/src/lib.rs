@@ -18,8 +18,8 @@
 //!   three-level complete-linkage hierarchy (Algorithm 4);
 //! * [`dendrogram`] — the dendrogram output type with height assignment and
 //!   cluster-extraction utilities;
-//! * [`pipeline`] — a one-call `similarity matrix → clusters` pipeline with
-//!   per-stage timing (used by the runtime-breakdown experiments).
+//! * [`pipeline`] — a one-call `similarity matrix → clusters` pipeline,
+//!   composed of the TMFG and DBHT entry points.
 //!
 //! # Quick example
 //!
@@ -52,13 +52,13 @@ pub mod tmfg;
 
 pub use bubble_tree::{Bubble, BubbleTree};
 pub use dbht::{
-    dbht_for_planar_graph, dbht_for_tmfg, Dbht, DbhtDistanceStats, DbhtDistances, DbhtRunStats,
-    HacBackend, HacStats, VertexAssignment,
+    dbht_for_planar_graph, dbht_for_tmfg, Dbht, DbhtDistanceStats, DbhtDistances, HacBackend,
+    HacStats, VertexAssignment,
 };
 pub use dendrogram::Dendrogram;
 pub use error::CoreError;
 pub use face::Triangle;
-pub use pipeline::{ParTdbht, ParTdbhtConfig, ParTdbhtResult, StageTimings};
+pub use pipeline::{ParTdbht, ParTdbhtConfig, ParTdbhtResult};
 pub use pmfg::{pmfg, pmfg_sequential, pmfg_with_config, Pmfg, PmfgConfig};
 pub use schedule::BatchSchedule;
 pub use tmfg::{tmfg, Tmfg, TmfgConfig};

@@ -1,26 +1,18 @@
 //! The end-to-end PAR-TDBHT pipeline: similarity matrix → TMFG → DBHT →
-//! dendrogram, with per-stage wall-clock timings.
+//! dendrogram.
 //!
-//! The stage timings refine the runtime-breakdown categories of Figure 5
-//! in the paper: `tmfg` (Algorithm 1, including the on-the-fly bubble
-//! tree), `apsp` (the demand-driven shortest paths on the
-//! dissimilarity-weighted filtered graph — converging-bubble source rows
-//! plus per-group blocks), `direction` (Algorithm 3), `assignment`
-//! (Algorithm 4, lines 1–23) and `hierarchy` (the three-level
-//! complete-linkage step, lines 24–33, plus §V-D height re-assignment).
-//! The paper's lumped "bubble tree" category is `direction + assignment`.
+//! [`ParTdbht::run`] is the composition of the two layer entry points,
+//! [`tmfg`] and [`dbht_for_tmfg`]; it adds input validation and nothing
+//! else. The pipeline does not time itself: the Figure 5 runtime
+//! breakdown is measured from outside by calling the public layer
+//! functions in pipeline order. What the run did is reported by the
+//! layers' own counters — the TMFG's per-round statistics,
+//! [`HacStats`] for the hierarchy and [`DbhtDistanceStats`] for the
+//! restricted shortest paths.
 
-use std::time::{Duration, Instant};
+use pfg_graph::{DissimilarityView, PairDistances, SimilaritySource, SymmetricMatrixF32};
 
-use pfg_graph::{
-    DissimilarityView, PairDistances, SimilaritySource, SourceRows, SymmetricMatrix,
-    SymmetricMatrixF32,
-};
-
-use crate::dbht::{
-    assignment, converging_vertices, direction, hierarchy, restricted_distances, DbhtRunStats,
-    VertexAssignment,
-};
+use crate::dbht::{dbht_for_tmfg, DbhtDistanceStats, HacStats, VertexAssignment};
 use crate::dendrogram::Dendrogram;
 use crate::error::CoreError;
 use crate::tmfg::{tmfg, Tmfg, TmfgConfig};
@@ -41,36 +33,6 @@ impl ParTdbhtConfig {
     }
 }
 
-/// Wall-clock timings of the pipeline stages (refined Figure 5 categories).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct StageTimings {
-    /// TMFG construction (Algorithm 1 + Algorithm 2).
-    pub tmfg: Duration,
-    /// Demand-driven shortest paths over the dissimilarity-weighted TMFG:
-    /// converging-bubble source rows plus per-group dense blocks (both
-    /// phases summed).
-    pub apsp: Duration,
-    /// Bubble-tree direction computation (Algorithm 3).
-    pub direction: Duration,
-    /// Vertex-to-bubble assignment (Algorithm 4, lines 1–23).
-    pub assignment: Duration,
-    /// Three-level complete-linkage hierarchy (Algorithm 4, lines 24–33).
-    pub hierarchy: Duration,
-}
-
-impl StageTimings {
-    /// Total time across all stages.
-    pub fn total(&self) -> Duration {
-        self.tmfg + self.apsp + self.direction + self.assignment + self.hierarchy
-    }
-
-    /// The paper's lumped Figure 5 "bubble tree" category
-    /// (direction + assignment).
-    pub fn bubble_tree(&self) -> Duration {
-        self.direction + self.assignment
-    }
-}
-
 /// The result of running the full pipeline.
 #[derive(Debug, Clone)]
 pub struct ParTdbhtResult {
@@ -80,10 +42,10 @@ pub struct ParTdbhtResult {
     pub assignment: VertexAssignment,
     /// The final DBHT dendrogram.
     pub dendrogram: Dendrogram,
-    /// Per-stage wall-clock timings.
-    pub timings: StageTimings,
-    /// HAC and restricted-APSP counters of the DBHT back half.
-    pub dbht_stats: DbhtRunStats,
+    /// Counters of the parallel HAC across all linkage runs.
+    pub hac: HacStats,
+    /// How much of the dense `n²` APSP the restricted store computed.
+    pub apsp: DbhtDistanceStats,
 }
 
 impl ParTdbhtResult {
@@ -114,19 +76,35 @@ impl ParTdbht {
     /// Runs TMFG construction followed by the DBHT.
     ///
     /// `similarity` is the full pairwise similarity matrix (e.g. Pearson
-    /// correlations); `dissimilarity` supplies the edge lengths for the
-    /// shortest-path computations (e.g. `sqrt(2 (1 − ρ))`).
+    /// correlations) — any [`SimilaritySource`]; `dissimilarity` supplies
+    /// the edge lengths for the shortest-path computations (e.g.
+    /// `sqrt(2 (1 − ρ))`) — any [`PairDistances`], of which only the
+    /// filtered graph's `3n − 6` edges are read.
     ///
     /// # Errors
     /// Propagates [`CoreError`] for inputs that are too small, mismatched
     /// matrix sizes, an invalid prefix, or a filtered-graph edge whose
     /// dissimilarity is NaN, ±Inf or negative.
-    pub fn run(
+    pub fn run<S: SimilaritySource, D: PairDistances>(
         &self,
-        similarity: &SymmetricMatrix,
-        dissimilarity: &SymmetricMatrix,
+        similarity: &S,
+        dissimilarity: &D,
     ) -> Result<ParTdbhtResult, CoreError> {
-        self.run_with(similarity, dissimilarity)
+        if similarity.n() != dissimilarity.num_vertices() {
+            return Err(CoreError::DimensionMismatch {
+                similarity: similarity.n(),
+                dissimilarity: dissimilarity.num_vertices(),
+            });
+        }
+        let tmfg = tmfg(similarity, self.config.tmfg)?;
+        let dbht = dbht_for_tmfg(&tmfg, dissimilarity)?;
+        Ok(ParTdbhtResult {
+            tmfg,
+            assignment: dbht.assignment,
+            dendrogram: dbht.dendrogram,
+            hac: dbht.hac,
+            apsp: dbht.apsp,
+        })
     }
 
     /// [`ParTdbht::run`] over half-footprint `f32` similarity storage,
@@ -138,88 +116,14 @@ impl ParTdbht {
     /// # Errors
     /// Propagates [`CoreError`] exactly like [`ParTdbht::run`].
     pub fn run_f32(&self, similarity: &SymmetricMatrixF32) -> Result<ParTdbhtResult, CoreError> {
-        self.run_with(similarity, &DissimilarityView::new(similarity))
-    }
-
-    /// The generic pipeline: any [`SimilaritySource`] for construction,
-    /// any [`PairDistances`] for the DBHT metric. [`ParTdbht::run`] and
-    /// [`ParTdbht::run_f32`] are thin wrappers.
-    ///
-    /// # Errors
-    /// Propagates [`CoreError`] for inputs that are too small, mismatched
-    /// matrix sizes, an invalid prefix, or a filtered-graph edge whose
-    /// dissimilarity is NaN, ±Inf or negative.
-    pub fn run_with<S: SimilaritySource, D: PairDistances>(
-        &self,
-        similarity: &S,
-        dissimilarity: &D,
-    ) -> Result<ParTdbhtResult, CoreError> {
-        if similarity.n() != dissimilarity.num_vertices() {
-            return Err(CoreError::DimensionMismatch {
-                similarity: similarity.n(),
-                dissimilarity: dissimilarity.num_vertices(),
-            });
-        }
-
-        let start = Instant::now();
-        let tmfg_result = tmfg(similarity, self.config.tmfg)?;
-        let tmfg_time = start.elapsed();
-
-        // Direction pass (Algorithm 3) — determines the converging bubbles
-        // and therefore which shortest-path rows are needed at all.
-        let start = Instant::now();
-        let bubble_graph =
-            direction::direct_tmfg_bubble_tree(&tmfg_result.bubble_tree, &tmfg_result.graph);
-        let direction_time = start.elapsed();
-
-        // Phase 1 of the demand-driven shortest paths: full rows for the
-        // converging-bubble vertices over the dissimilarity-weighted TMFG.
-        let start = Instant::now();
-        let dgraph = crate::dbht::dissimilarity_graph(&tmfg_result.graph, dissimilarity);
-        crate::dbht::check_edge_lengths(&dgraph)?;
-        let rows = SourceRows::compute(&dgraph, &converging_vertices(&bubble_graph));
-        let mut apsp_time = start.elapsed();
-
-        // Vertex assignment (Algorithm 4, lines 1–23) reads only the rows.
-        let start = Instant::now();
-        let assignment = assignment::assign_vertices(&tmfg_result.graph, &bubble_graph, &rows);
-        let assignment_time = start.elapsed();
-
-        // Phase 2: dense per-group blocks for the now-known groups.
-        let start = Instant::now();
-        let distances = restricted_distances(&dgraph, rows, &assignment);
-        apsp_time += start.elapsed();
-        let apsp_stats = distances.stats();
-
-        // Hierarchy (parallel mutual-NN rounds).
-        let start = Instant::now();
-        let (dendrogram, hac_stats) = hierarchy::build_hierarchy_with(
-            &bubble_graph,
-            &assignment,
-            &distances,
-            hierarchy::HacBackend::ParallelRounds,
-        );
-        let hierarchy_time = start.elapsed();
-
-        Ok(ParTdbhtResult {
-            tmfg: tmfg_result,
-            assignment,
-            dendrogram,
-            timings: StageTimings {
-                tmfg: tmfg_time,
-                apsp: apsp_time,
-                direction: direction_time,
-                assignment: assignment_time,
-                hierarchy: hierarchy_time,
-            },
-            dbht_stats: DbhtRunStats::of(hac_stats, apsp_stats),
-        })
+        self.run(similarity, &DissimilarityView::new(similarity))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pfg_graph::SymmetricMatrix;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -247,7 +151,6 @@ mod tests {
             assert_eq!(result.dendrogram.num_leaves(), 40);
             assert!(result.dendrogram.root().is_some());
             assert!(result.dendrogram.is_monotone());
-            assert!(result.timings.total() > Duration::ZERO);
         }
     }
 

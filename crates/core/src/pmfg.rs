@@ -627,7 +627,7 @@ mod tests {
         // total weight as the TMFG (Figure 7 shows ratios close to 1).
         let s = random_similarity(24, 11);
         let p = pmfg(&s).unwrap();
-        let t = crate::tmfg::tmfg_sequential(&s).unwrap();
+        let t = crate::tmfg::tmfg(&s, crate::tmfg::TmfgConfig::with_prefix(1)).unwrap();
         assert!(p.edge_weight_sum() > 0.9 * t.edge_weight_sum());
     }
 

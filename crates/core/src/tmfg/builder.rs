@@ -124,7 +124,7 @@ pub struct Insertion {
 
 /// Per-round accounting of the batch selector: how full the round was and
 /// how much staleness (conflicts, cache exhaustion) it had to absorb.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RoundStats {
     /// Upper bound on this round's insertions:
     /// `min(prefix, |remaining|, |active faces|)` at round start.
@@ -151,32 +151,7 @@ pub struct RoundStats {
     /// round-start information was stale and intra-round freshness
     /// recovered quality the simultaneous placement would have lost.
     pub reassigned: usize,
-    /// Wall time of this round's placement pass in nanoseconds — the
-    /// O(batch²) sequential loop of [`BatchFreshness::IntraRound`] (or the
-    /// straight-line application under
-    /// [`BatchFreshness::Simultaneous`]). The construction bench folds
-    /// this into the per-stage breakdown: if intra-round placement ever
-    /// dominated the parallel candidate refresh it pays for, the freshness
-    /// default would need revisiting.
-    pub placement_ns: u64,
 }
-
-/// `placement_ns` is wall-clock noise, not algorithm state: two
-/// byte-identical constructions time differently, so the timer is excluded
-/// from equality. The differential tests compare `round_stats` across
-/// thread counts and chaos seeds, and must keep passing
-/// bit-for-bit on every *semantic* counter.
-impl PartialEq for RoundStats {
-    fn eq(&self, other: &Self) -> bool {
-        self.target == other.target
-            && self.selected == other.selected
-            && self.conflicts == other.conflicts
-            && self.rescans == other.rescans
-            && self.reassigned == other.reassigned
-    }
-}
-
-impl Eq for RoundStats {}
 
 impl RoundStats {
     /// Fraction of the round's target that was actually inserted (1.0 for
@@ -252,12 +227,6 @@ impl Tmfg {
     pub fn total_reassigned(&self) -> usize {
         self.round_stats.iter().map(|r| r.reassigned).sum()
     }
-
-    /// Total nanoseconds spent in the sequential placement pass across all
-    /// rounds (see [`RoundStats::placement_ns`]).
-    pub fn total_placement_ns(&self) -> u64 {
-        self.round_stats.iter().map(|r| r.placement_ns).sum()
-    }
 }
 
 /// Builds the TMFG of the similarity matrix `s` (Algorithm 1).
@@ -284,11 +253,6 @@ pub fn tmfg<S: SimilaritySource>(s: &S, config: TmfgConfig) -> Result<Tmfg, Core
         return Err(CoreError::NonFiniteSimilarity { row, col });
     }
     Ok(Builder::new(s, config).run())
-}
-
-/// Builds the sequential TMFG (equivalent to `prefix = 1`).
-pub fn tmfg_sequential<S: SimilaritySource>(s: &S) -> Result<Tmfg, CoreError> {
-    tmfg(s, TmfgConfig::with_prefix(1))
 }
 
 /// A `(face, vertex, gain)` entry of the selection heaps.
@@ -691,12 +655,10 @@ impl<'a, S: SimilaritySource> Builder<'a, S> {
             self.num_remaining -= 1;
         }
 
-        let placement_start = std::time::Instant::now();
         let groups: Vec<ChildGroup> = match self.freshness {
             BatchFreshness::Simultaneous => self.place_simultaneous(selected),
             BatchFreshness::IntraRound => self.place_intra_round(selected, stats),
         };
-        stats.placement_ns = placement_start.elapsed().as_nanos() as u64;
 
         // Line 15: advance the faces whose head vertex was inserted this
         // round and queue their new heads (or bounds, for drained lists).
@@ -768,10 +730,9 @@ impl<'a, S: SimilaritySource> Builder<'a, S> {
     /// for the rest of the cohort — the intra-round freshness that lets an
     /// arrival cohort nucleate the way sequential insertion would. Each
     /// vertex keeps its phase-1 face reserved as a fallback, so the cohort
-    /// always places completely. O(batch²) sequential work, timed into
-    /// [`RoundStats::placement_ns`] by the caller. Returns the created
-    /// child groups; groups whose faces were consumed later in the same
-    /// round are filtered by the caller's `face_active` check.
+    /// always places completely. O(batch²) sequential work. Returns the
+    /// created child groups; groups whose faces were consumed later in the
+    /// same round are filtered by the caller's `face_active` check.
     fn place_intra_round(
         &mut self,
         selected: &[(usize, usize, f64)],
@@ -895,7 +856,7 @@ mod tests {
             0.8, 0.4, 0.4, 0.8, 1.0, 0.8, //
             0.4, 0.0, 0.42, 0.8, 0.8, 1.0,
         ];
-        SymmetricMatrix::from_rows(6, rows)
+        SymmetricMatrix::from_rows(6, rows).unwrap()
     }
 
     fn random_similarity(n: usize, seed: u64) -> SymmetricMatrix {
@@ -960,7 +921,7 @@ mod tests {
     #[test]
     fn four_vertices_is_just_the_clique() {
         let s = SymmetricMatrix::filled(4, 0.5);
-        let t = tmfg_sequential(&s).unwrap();
+        let t = tmfg(&s, TmfgConfig::with_prefix(1)).unwrap();
         assert_eq!(t.graph.num_edges(), 6);
         assert_eq!(t.bubble_tree.len(), 1);
         assert_eq!(t.rounds, 0);
@@ -974,7 +935,7 @@ mod tests {
         // Figure 13(a)-(d): with PREFIX = 1 the algorithm starts from the
         // clique {0,1,3,4}, inserts 5 into {0,3,4} and then 2 into {0,4,5}.
         let s = appendix_matrix();
-        let t = tmfg_sequential(&s).unwrap();
+        let t = tmfg(&s, TmfgConfig::with_prefix(1)).unwrap();
         let mut clique = t.initial_clique;
         clique.sort_unstable();
         assert_eq!(clique, [0, 1, 3, 4]);
@@ -1014,7 +975,7 @@ mod tests {
         // face, and the counters record it.
         let s = appendix_matrix();
         let batched = tmfg(&s, TmfgConfig::with_prefix(3)).unwrap();
-        let sequential = tmfg_sequential(&s).unwrap();
+        let sequential = tmfg(&s, TmfgConfig::with_prefix(1)).unwrap();
         assert_eq!(batched.rounds, 1);
         assert_eq!(batched.total_reassigned(), 1);
         let batched_pairs: Vec<(usize, Triangle)> = batched
@@ -1054,7 +1015,7 @@ mod tests {
     #[test]
     fn edge_weights_come_from_similarity_matrix() {
         let s = random_similarity(25, 7);
-        let t = tmfg_sequential(&s).unwrap();
+        let t = tmfg(&s, TmfgConfig::with_prefix(1)).unwrap();
         for (u, v, w) in t.graph.edges() {
             assert!((w - s.get(u, v)).abs() < 1e-12);
         }
@@ -1066,7 +1027,7 @@ mod tests {
         // available at that time; in particular gains of later insertions
         // can exceed earlier ones only if enabled by newly created faces.
         let s = random_similarity(20, 3);
-        let t = tmfg_sequential(&s).unwrap();
+        let t = tmfg(&s, TmfgConfig::with_prefix(1)).unwrap();
         assert_eq!(t.rounds, 16);
         for ins in &t.insertions {
             assert!(ins.gain.is_finite());
@@ -1362,7 +1323,7 @@ mod tests {
     #[test]
     fn initial_clique_has_highest_row_sums() {
         let s = random_similarity(30, 9);
-        let t = tmfg_sequential(&s).unwrap();
+        let t = tmfg(&s, TmfgConfig::with_prefix(1)).unwrap();
         let sums = s.row_sums();
         let min_clique_sum = t
             .initial_clique

@@ -27,5 +27,5 @@
 mod builder;
 mod gains;
 
-pub use builder::{tmfg, tmfg_sequential, BatchFreshness, Insertion, RoundStats, Tmfg, TmfgConfig};
+pub use builder::{tmfg, BatchFreshness, Insertion, RoundStats, Tmfg, TmfgConfig};
 pub use gains::{CandidateList, GainTable, NextBest, MAX_CACHE_DEPTH, MIN_CACHE_DEPTH};

@@ -50,8 +50,8 @@ impl Default for TileConfig {
     }
 }
 
-/// Counters describing one run of the tiled kernel, surfaced through the
-/// bench layer's `CorrelationRunStats`.
+/// Counters describing one run of the tiled kernel; the bench layer's
+/// method outputs and figure records carry them as they are.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CorrelationKernelStats {
     /// Number of series (matrix dimension).

@@ -21,11 +21,10 @@ pub mod union_find;
 pub mod weighted_graph;
 
 pub use bfs::{bfs_reachable, bfs_reachable_within};
-pub use matrix::{SymmetricMatrix, SymmetricMatrixF32};
+pub use matrix::{MatrixError, SymmetricMatrix, SymmetricMatrixF32};
 pub use planarity::{is_planar, stays_planar_with_edge, LrScratch};
 pub use shortest_paths::{
-    all_pairs_shortest_paths, dijkstra, group_restricted_shortest_paths, shortest_path_rows,
-    GroupBlocks, PairDistances, SourceRows,
+    all_pairs_shortest_paths, dijkstra, GroupBlocks, PairDistances, SourceRows,
 };
 pub use similarity::{emission_cmp, DissimilarityView, SimilaritySource};
 pub use union_find::UnionFind;

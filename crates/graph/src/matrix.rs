@@ -6,7 +6,44 @@
 //! `O(1)` and the memory layout keeps row scans (the hot loop of the TMFG
 //! gain computation) cache friendly.
 
+use std::fmt;
+
 use rayon::prelude::*;
+
+/// Why [`SymmetricMatrix::from_rows`] rejected its input.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MatrixError {
+    /// The data does not hold `n * n` entries.
+    WrongLength {
+        /// `n * n`.
+        expected: usize,
+        /// Entries supplied.
+        got: usize,
+    },
+    /// The entries at `(row, col)` and `(col, row)` differ by more than
+    /// the tolerance, or one of them is NaN.
+    NotSymmetric {
+        /// Row of the pair (`row < col`).
+        row: usize,
+        /// Column of the pair.
+        col: usize,
+    },
+}
+
+impl fmt::Display for MatrixError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            MatrixError::WrongLength { expected, got } => {
+                write!(f, "matrix data has {got} entries, expected {expected}")
+            }
+            MatrixError::NotSymmetric { row, col } => {
+                write!(f, "matrix is not symmetric at ({row}, {col})")
+            }
+        }
+    }
+}
+
+impl std::error::Error for MatrixError {}
 
 /// A dense symmetric `n × n` matrix of `f64` values.
 ///
@@ -34,21 +71,29 @@ impl SymmetricMatrix {
 
     /// Builds a matrix from a row-major slice of length `n * n`.
     ///
-    /// # Panics
-    /// Panics if `data.len() != n * n` or if the data is not symmetric to
-    /// within `1e-9`.
-    pub fn from_rows(n: usize, data: Vec<f64>) -> Self {
-        assert_eq!(data.len(), n * n, "matrix data must have n*n entries");
+    /// # Errors
+    /// Returns [`MatrixError::WrongLength`] if `data.len() != n * n`, and
+    /// [`MatrixError::NotSymmetric`] naming the first pair `(row, col)`,
+    /// `row < col`, in row-major order whose mirrored entries differ by
+    /// more than `1e-9` — a NaN entry never passes that check.
+    pub fn from_rows(n: usize, data: Vec<f64>) -> Result<Self, MatrixError> {
+        if data.len() != n * n {
+            return Err(MatrixError::WrongLength {
+                expected: n * n,
+                got: data.len(),
+            });
+        }
         let m = Self { n, data };
-        for i in 0..n {
-            for j in (i + 1)..n {
-                assert!(
-                    (m.get(i, j) - m.get(j, i)).abs() <= 1e-9,
-                    "matrix must be symmetric: ({i},{j})"
-                );
+        for row in 0..n {
+            for col in (row + 1)..n {
+                // Written so that NaN (including `Inf − Inf`) fails.
+                let close = (m.get(row, col) - m.get(col, row)).abs() <= 1e-9;
+                if !close {
+                    return Err(MatrixError::NotSymmetric { row, col });
+                }
             }
         }
-        m
+        Ok(m)
     }
 
     /// Builds a matrix from row-major data that the producer has already
@@ -254,19 +299,39 @@ mod tests {
 
     #[test]
     fn from_rows_accepts_symmetric() {
-        let m = SymmetricMatrix::from_rows(2, vec![1.0, 0.5, 0.5, 1.0]);
+        let m = SymmetricMatrix::from_rows(2, vec![1.0, 0.5, 0.5, 1.0]).unwrap();
         assert_eq!(m.get(0, 1), 0.5);
     }
 
     #[test]
-    #[should_panic]
     fn from_rows_rejects_asymmetric() {
-        SymmetricMatrix::from_rows(2, vec![1.0, 0.5, 0.4, 1.0]);
+        #[rustfmt::skip]
+        let rows = vec![
+            1.0, 0.5, 0.2,
+            0.5, 1.0, 0.3,
+            0.2, 0.4, 1.0,
+        ];
+        assert_eq!(
+            SymmetricMatrix::from_rows(3, rows),
+            Err(MatrixError::NotSymmetric { row: 1, col: 2 })
+        );
+        let nan = vec![1.0, 0.5, f64::NAN, 0.5, 1.0, 0.3, f64::NAN, 0.3, 1.0];
+        assert_eq!(
+            SymmetricMatrix::from_rows(3, nan),
+            Err(MatrixError::NotSymmetric { row: 0, col: 2 })
+        );
+        assert_eq!(
+            SymmetricMatrix::from_rows(2, vec![1.0, 0.5, 0.5]),
+            Err(MatrixError::WrongLength {
+                expected: 4,
+                got: 3
+            })
+        );
     }
 
     #[test]
     fn map_transforms_entries() {
-        let m = SymmetricMatrix::from_rows(2, vec![1.0, 0.5, 0.5, 1.0]);
+        let m = SymmetricMatrix::from_rows(2, vec![1.0, 0.5, 0.5, 1.0]).unwrap();
         let d = m.map(|p| (2.0 * (1.0 - p)).sqrt());
         assert!((d.get(0, 1) - 1.0).abs() < 1e-12);
         assert_eq!(d.get(0, 0), 0.0);

@@ -18,8 +18,8 @@
 //! The DBHT, however, never reads most of those `n²` entries: the
 //! hierarchy consumes distances *within* each first-level group plus a
 //! handful of rows anchored at the converging bubbles. The demand-driven
-//! pair — [`shortest_path_rows`] (full rows for a chosen source set) and
-//! [`group_restricted_shortest_paths`] (per-group dense blocks via
+//! pair — [`SourceRows`] (full rows for a chosen source set) and
+//! [`GroupBlocks`] (per-group dense blocks via
 //! Dijkstras that stop as soon as the whole group is settled) — computes
 //! exactly those distances, cutting the output from `n²` to
 //! `O(Σ group² + |sources|·n)` and the work from `n` full Dijkstras to
@@ -67,19 +67,39 @@ impl PartialOrd for HeapEntry {
 /// Debug-asserts that edge weights are non-negative.
 pub fn dijkstra(graph: &WeightedGraph, source: usize) -> Vec<f64> {
     let mut dist = vec![f64::INFINITY; graph.num_vertices()];
-    dijkstra_into(graph, source, &mut dist);
+    dijkstra_into(graph, source, None, &mut dist);
     dist
 }
 
-/// [`dijkstra`] writing into a caller-provided row of length
-/// `num_vertices` (every entry is overwritten), so all-pairs callers can
-/// fill one flat matrix without a per-source allocation.
-fn dijkstra_into(graph: &WeightedGraph, source: usize, dist: &mut [f64]) {
+/// The one Dijkstra core behind [`dijkstra`], [`SourceRows`],
+/// [`GroupBlocks`] and [`all_pairs_shortest_paths`]: writes into a
+/// caller-provided row of length `num_vertices` (every entry is
+/// overwritten), so all-pairs callers fill one flat matrix without a
+/// per-source output allocation.
+///
+/// With `targets = Some((is_target, count))` the run stops as soon as all
+/// `count` flagged vertices have been settled (popped with a final
+/// distance); distances of unsettled vertices are then a valid lower bound
+/// but only *final* for settled ones, so callers must read targets only.
+/// Without targets the run settles every reachable vertex. Returns the
+/// number of vertices settled — the honest work measure for the restricted
+/// APSP counters.
+fn dijkstra_into(
+    graph: &WeightedGraph,
+    source: usize,
+    targets: Option<(&[bool], usize)>,
+    dist: &mut [f64],
+) -> usize {
     let n = graph.num_vertices();
     debug_assert_eq!(dist.len(), n);
     dist.fill(f64::INFINITY);
     let mut done = vec![false; n];
     let mut heap = BinaryHeap::with_capacity(n);
+    let mut settled = 0usize;
+    let mut targets_left = targets.map_or(0, |(is_target, count)| {
+        debug_assert_eq!(is_target.len(), n);
+        count
+    });
     dist[source] = 0.0;
     heap.push(HeapEntry {
         dist: 0.0,
@@ -90,6 +110,15 @@ fn dijkstra_into(graph: &WeightedGraph, source: usize, dist: &mut [f64]) {
             continue;
         }
         done[u] = true;
+        settled += 1;
+        if let Some((is_target, _)) = targets {
+            if is_target[u] {
+                targets_left -= 1;
+                if targets_left == 0 {
+                    break;
+                }
+            }
+        }
         for &(v, w) in graph.neighbors(u) {
             debug_assert!(w >= 0.0, "Dijkstra requires non-negative weights");
             let candidate = d + w;
@@ -102,6 +131,7 @@ fn dijkstra_into(graph: &WeightedGraph, source: usize, dist: &mut [f64]) {
             }
         }
     }
+    settled
 }
 
 /// Read access to pairwise distances, implemented both by the dense
@@ -131,58 +161,6 @@ impl PairDistances for SymmetricMatrix {
     fn num_vertices(&self) -> usize {
         self.n()
     }
-}
-
-/// [`dijkstra_into`] that stops as soon as every flagged target has been
-/// settled (popped with a final distance). Returns the number of vertices
-/// settled before the stop — the honest work measure for the restricted
-/// APSP counters. Distances of unsettled vertices are a valid lower bound
-/// but are only *final* for settled ones; callers must read targets only.
-fn dijkstra_targets_into(
-    graph: &WeightedGraph,
-    source: usize,
-    is_target: &[bool],
-    targets_total: usize,
-    dist: &mut [f64],
-) -> usize {
-    let n = graph.num_vertices();
-    debug_assert_eq!(dist.len(), n);
-    debug_assert_eq!(is_target.len(), n);
-    dist.fill(f64::INFINITY);
-    let mut done = vec![false; n];
-    let mut heap = BinaryHeap::with_capacity(n);
-    let mut settled = 0usize;
-    let mut targets_left = targets_total;
-    dist[source] = 0.0;
-    heap.push(HeapEntry {
-        dist: 0.0,
-        vertex: source,
-    });
-    while let Some(HeapEntry { dist: d, vertex: u }) = heap.pop() {
-        if done[u] {
-            continue;
-        }
-        done[u] = true;
-        settled += 1;
-        if is_target[u] {
-            targets_left -= 1;
-            if targets_left == 0 {
-                break;
-            }
-        }
-        for &(v, w) in graph.neighbors(u) {
-            debug_assert!(w >= 0.0, "Dijkstra requires non-negative weights");
-            let candidate = d + w;
-            if candidate < dist[v] {
-                dist[v] = candidate;
-                heap.push(HeapEntry {
-                    dist: candidate,
-                    vertex: v,
-                });
-            }
-        }
-    }
-    settled
 }
 
 /// Full shortest-path rows for a chosen set of source vertices: the
@@ -226,7 +204,9 @@ impl SourceRows {
             rows.par_chunks_mut(n)
                 .with_max_len(1)
                 .enumerate()
-                .for_each(|(i, row)| dijkstra_into(graph, sources[i], row));
+                .for_each(|(i, row)| {
+                    dijkstra_into(graph, sources[i], None, row);
+                });
         }
         // Symmetrise the source×source entries the way the dense APSP
         // does, so downstream comparisons between restricted and full
@@ -374,7 +354,7 @@ impl GroupBlocks {
                     .map(|(li, row)| {
                         let mut dist = vec![f64::INFINITY; n];
                         let settled =
-                            dijkstra_targets_into(graph, g_ref[li], is_target, m, &mut dist);
+                            dijkstra_into(graph, g_ref[li], Some((is_target, m)), &mut dist);
                         for (lj, &t) in g_ref.iter().enumerate() {
                             row[lj] = dist[t];
                         }
@@ -455,20 +435,6 @@ impl PairDistances for GroupBlocks {
     }
 }
 
-/// [`SourceRows`] for `sources`, plus [`GroupBlocks`] for `groups`, in one
-/// call — the demand-driven restricted APSP used by the DBHT back half.
-pub fn group_restricted_shortest_paths(
-    graph: &WeightedGraph,
-    groups: &[Vec<usize>],
-) -> GroupBlocks {
-    GroupBlocks::compute(graph, groups)
-}
-
-/// Demand-driven full rows from the given sources (see [`SourceRows`]).
-pub fn shortest_path_rows(graph: &WeightedGraph, sources: &[usize]) -> SourceRows {
-    SourceRows::compute(graph, sources)
-}
-
 /// All-pairs shortest paths: runs [`dijkstra`] from every vertex in
 /// parallel, writing each source's distances straight into the matching
 /// row of one flat `n²` buffer, then symmetrises that buffer in place (in
@@ -492,7 +458,7 @@ pub fn all_pairs_shortest_paths(graph: &WeightedGraph) -> SymmetricMatrix {
             .enumerate()
             .for_each(|(source, row)| {
                 let _claim = audit.claim_range(source * n, (source + 1) * n);
-                dijkstra_into(graph, source, row);
+                dijkstra_into(graph, source, None, row);
             });
         // The graph is undirected so the matrix is symmetric up to
         // floating point associativity; symmetrise explicitly to make
@@ -617,7 +583,7 @@ mod tests {
     fn source_rows_match_full_apsp_on_source_pairs_bitwise() {
         let g = weighted_path();
         let apsp = all_pairs_shortest_paths(&g);
-        let rows = shortest_path_rows(&g, &[3, 0, 3]);
+        let rows = SourceRows::compute(&g, &[3, 0, 3]);
         assert_eq!(rows.sources(), &[0, 3]);
         assert_eq!(rows.pairs_computed(), 2 * 5);
         // Source pairs are averaged exactly like the dense APSP → bitwise.
@@ -634,7 +600,7 @@ mod tests {
     #[should_panic(expected = "outside the computed source rows")]
     fn source_rows_panic_on_uncomputed_pair() {
         let g = weighted_path();
-        let rows = shortest_path_rows(&g, &[0]);
+        let rows = SourceRows::compute(&g, &[0]);
         rows.pair(1, 2);
     }
 
@@ -642,7 +608,7 @@ mod tests {
     fn group_blocks_match_full_apsp_bitwise() {
         let g = weighted_square();
         let apsp = all_pairs_shortest_paths(&g);
-        let blocks = group_restricted_shortest_paths(&g, &[vec![0, 3], vec![1, 2]]);
+        let blocks = GroupBlocks::compute(&g, &[vec![0, 3], vec![1, 2]]);
         for (u, v) in [(0, 3), (3, 0), (1, 2), (2, 1), (0, 0), (2, 2)] {
             assert_eq!(blocks.pair(u, v).to_bits(), apsp.get(u, v).to_bits());
         }
@@ -655,7 +621,7 @@ mod tests {
         // Group {0, 3}: the weight-4 direct edge loses to the 0-1-2-3 path
         // through the *other* group, so the block must route outside.
         let g = weighted_square();
-        let blocks = group_restricted_shortest_paths(&g, &[vec![0, 3]]);
+        let blocks = GroupBlocks::compute(&g, &[vec![0, 3]]);
         assert!((blocks.pair(0, 3) - 3.0).abs() < 1e-12);
     }
 
@@ -666,7 +632,7 @@ mod tests {
         let n = 64;
         let edges: Vec<(usize, usize, f64)> = (0..n - 1).map(|i| (i, i + 1, 1.0)).collect();
         let g = WeightedGraph::from_edges(n, &edges);
-        let blocks = group_restricted_shortest_paths(&g, &[vec![0, 1, 2, 3]]);
+        let blocks = GroupBlocks::compute(&g, &[vec![0, 1, 2, 3]]);
         // Each of the 4 runs stops within distance 3 of its source, so it
         // settles at most 7 path vertices — nowhere near the full 64.
         assert!(blocks.vertices_settled() <= 4 * 7);
@@ -677,7 +643,7 @@ mod tests {
     #[should_panic(expected = "crosses group boundaries")]
     fn group_blocks_panic_on_cross_group_pair() {
         let g = weighted_square();
-        let blocks = group_restricted_shortest_paths(&g, &[vec![0, 3], vec![1, 2]]);
+        let blocks = GroupBlocks::compute(&g, &[vec![0, 3], vec![1, 2]]);
         blocks.pair(0, 1);
     }
 
@@ -685,7 +651,7 @@ mod tests {
     fn pair_distances_trait_agrees_across_backends() {
         let g = weighted_square();
         let apsp = all_pairs_shortest_paths(&g);
-        let rows = shortest_path_rows(&g, &[0, 1, 2, 3]);
+        let rows = SourceRows::compute(&g, &[0, 1, 2, 3]);
         // With every vertex a source, SourceRows covers all pairs and the
         // averaging rule matches the dense matrix exactly.
         for i in 0..4 {

@@ -19,7 +19,7 @@ fn main() {
         0.8, 0.4, 0.4, 0.8, 1.0, 0.8, //
         0.4, 0.0, 0.42, 0.8, 0.8, 1.0,
     ];
-    let s = Matrix::from_rows(6, rows);
+    let s = Matrix::from_rows(6, rows).expect("symmetric matrix");
     let d = s.map(|p| (2.0 * (1.0 - p)).sqrt());
     let truth = vec![0, 0, 0, 1, 1, 1];
     println!("appendix example (ground truth {{0,1,2}} vs {{3,4,5}}):");

@@ -37,17 +37,13 @@ fn main() {
         result.tmfg.rounds
     );
     println!(
-        "DBHT: {} groups (converging bubbles), {}",
+        "DBHT: {} groups (converging bubbles), HAC {} rounds / {} merges, APSP {}/{} pairs ({:.3})",
         result.assignment.num_groups(),
-        result.dbht_stats.summary_line()
-    );
-    println!(
-        "stage timings: tmfg {:?}, apsp {:?}, direction {:?}, assignment {:?}, hierarchy {:?}",
-        result.timings.tmfg,
-        result.timings.apsp,
-        result.timings.direction,
-        result.timings.assignment,
-        result.timings.hierarchy
+        result.hac.rounds,
+        result.hac.merges,
+        result.apsp.pairs_computed,
+        result.apsp.pairs_full,
+        result.apsp.restricted_fraction()
     );
 
     // 4. Cut the dendrogram to the number of ground-truth classes and score.

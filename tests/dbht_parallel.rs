@@ -14,6 +14,7 @@ use pfg_core::dbht::{
     assignment, converging_vertices, dbht_for_tmfg, direction, dissimilarity_graph, hierarchy,
     restricted_distances,
 };
+use pfg_graph::shortest_paths::all_pairs_shortest_paths;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -79,7 +80,7 @@ fn prepare(s: &SymmetricMatrix, prefix: usize) -> Prepared {
     let bubble_graph = direction::direct_tmfg_bubble_tree(&t.bubble_tree, &t.graph);
     let dgraph = dissimilarity_graph(&t.graph, &d);
     let sources = converging_vertices(&bubble_graph);
-    let rows = shortest_path_rows(&dgraph, &sources);
+    let rows = SourceRows::compute(&dgraph, &sources);
     let assignment = assignment::assign_vertices(&t.graph, &bubble_graph, &rows);
     let distances = restricted_distances(&dgraph, rows, &assignment);
     let dense = all_pairs_shortest_paths(&dgraph);
@@ -172,7 +173,8 @@ fn full_dbht_is_byte_identical_across_thread_counts() {
         assert_eq!(run.dendrogram, reference.dendrogram, "{threads} threads");
         assert_eq!(run.assignment.group, reference.assignment.group);
         assert_eq!(run.assignment.bubble, reference.assignment.bubble);
-        assert_eq!(run.stats, reference.stats);
+        assert_eq!(run.hac, reference.hac);
+        assert_eq!(run.apsp, reference.apsp);
     }
 }
 
@@ -263,14 +265,14 @@ fn restricted_apsp_computes_fewer_than_half_the_pairs_on_clustered_input() {
     let d = dissimilarity_of(&s);
     let t = tmfg(&s, TmfgConfig::with_prefix(5)).unwrap();
     let dbht = dbht_for_tmfg(&t, &d).unwrap();
-    let fraction = dbht.stats.restricted_fraction();
+    let fraction = dbht.apsp.restricted_fraction();
     assert!(
         fraction < 0.5,
         "restricted APSP computed {:.3} of the dense output",
         fraction
     );
-    assert!(dbht.stats.apsp_pairs_computed > 0);
-    assert_eq!(dbht.stats.apsp_pairs_full, 120 * 120);
+    assert!(dbht.apsp.pairs_computed > 0);
+    assert_eq!(dbht.apsp.pairs_full, 120 * 120);
 }
 
 // ---------------------------------------------------------------------------

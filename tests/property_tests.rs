@@ -10,6 +10,7 @@
 
 use par_filtered_graph_clustering::prelude::*;
 use pfg_core::dbht::direction::direct_tmfg_bubble_tree;
+use pfg_core::pmfg::pmfg_sequential;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
